@@ -16,9 +16,8 @@ import numpy as np
 from . import __version__
 from .config import DEFAULT_TOLS, override_tolerances
 from .continuum import composite_trotter_check, kraus_lindblad_spectral_map
-from .dynamics import (classify_regime, coherence_probe, coherence_probe_adjoint,
-                       identity_observable, observable_series,
-                       reference_initial_state)
+from .dynamics import (coherence_probe, coherence_probe_adjoint,
+                       identity_observable, sensitivity_probe)
 from .gates import ParameterPoint, SingularGateError
 from .linalg import EigenDecompositionError, eig_general, match_spectra
 from .spectrum import analytic_spectrum, ep_scan
@@ -68,8 +67,11 @@ def write_table(path: str, fmt: str, metadata: dict, columns: list[str], rows: l
         text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     else:
         raise ConfigError(f"unknown format {fmt!r}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -98,27 +100,22 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_FLOAT_KEYS = {"gamma", "x", "lam", "epsilon", "theta", "delta", "rate", "time"}
-_INT_KEYS = {"seed", "n_max"}
+def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
+                  args: argparse.Namespace) -> argparse.Namespace:
+    """Config-file values fill every flag the command line left unset.
 
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Config-file values fill in flags the command line left unset."""
-    if not getattr(args, "config", None):
+    Each key the subcommand knows becomes a `--flag=value` token placed
+    before the command line's own flags, so argparse converts and
+    validates it and a flag given on the command line wins.  Keys of other
+    subcommands are ignored.
+    """
+    if not args.config:
         return args
-    file_vals = _read_config_file(args.config)
-    for key, raw in file_vals.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is not None:
-            continue   # command line wins
-        if key in _FLOAT_KEYS:
-            setattr(args, key, float(raw))
-        elif key in _INT_KEYS:
-            setattr(args, key, int(raw))
-        else:
-            setattr(args, key, raw)
-    return args
+    known = set(vars(args)) - {"command", "func"}
+    tokens = [f"--{'lambda' if key == 'lam' else key.replace('_', '-')}={val}"
+              for key, val in _read_config_file(args.config).items() if key in known]
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _resolve_point(args, epsilon: float | None = None) -> ParameterPoint:
@@ -189,7 +186,7 @@ def cmd_spectrum(args) -> int:
     meta["regime"] = point.regime.value
     meta["near-defective"] = es.near_defective
     meta["min-overlap"] = es.min_overlap
-    if abs(point.theta) < 1e-14:
+    if point.superintegrable:
         spec = analytic_spectrum(point, tols)
         rows += [(int(j + 1), mu.real, mu.imag, abs(mu), "analytic")
                  for j, mu in enumerate(spec.mu)]
@@ -274,24 +271,17 @@ def cmd_evolve(args) -> int:
     tols = _resolve_tols(args)
     if args.epsilon0 is None:
         raise ConfigError("--epsilon0 is required")
-    eps0 = float(args.epsilon0)
-    delta = float(args.delta or 0.0)
-    n_max = int(args.n_max or 200)
+    eps0, delta = args.epsilon0, args.delta
     if not (0.0 < eps0 - delta and eps0 + delta <= 1.0):
         raise ConfigError(f"epsilon0 +- delta must stay in (0, 1]: {eps0} +- {delta}")
-    base = _resolve_point(args, epsilon=eps0)
-    g = _OBSERVABLES[args.observable]()
-    rho0 = reference_initial_state()
+    probe = sensitivity_probe(_resolve_point(args, epsilon=eps0), delta, args.n_max,
+                              _OBSERVABLES[args.observable](), tols=tols)
 
     rows = []
     meta = _base_metadata(args)
-    for tag, eps in (("minus", eps0 - delta), ("center", eps0), ("plus", eps0 + delta)):
-        point = ParameterPoint.easy_plane(float(np.real(base.x)), float(np.real(base.gamma)),
-                                          eps, base.theta)
-        rec = observable_series(superoperator_at(point, tols), rho0, g, n_max, tols=tols)
-        report = classify_regime(point, rec, tols)
-        meta[f"regime-{tag}"] = report.regime.value if report.regime else "inconclusive"
-        for n in range(n_max + 1):
+    for tag, rec in (("minus", probe.minus), ("center", probe.center), ("plus", probe.plus)):
+        meta[f"regime-{tag}"] = rec.regime.value if rec.regime else "inconclusive"
+        for n in range(args.n_max + 1):
             rows.append((tag, n, rec.values[n].real, rec.values[n].imag, rec.rescaled[n]))
     write_table(_output_path(args, "evolve.csv"), args.format, meta,
                 ["series", "n", "re_g", "im_g", "rescaled"], rows)
@@ -306,6 +296,8 @@ def cmd_trotter(args) -> int:
         n_list = [int(v) for v in (args.n_list or "100,200,400").split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad --n-list {args.n_list!r}") from exc
+    if min(n_list) < 1:
+        raise ConfigError(f"--n-list step counts must be positive, got {args.n_list!r}")
     Gamma = float(args.rate if args.rate is not None else 1.0)
     t = float(args.time if args.time is not None else 1.0)
     report = composite_trotter_check(float(args.gamma), Gamma, t, n_list, tols)
@@ -386,10 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(parser, argv, args)
         return args.func(args)
     except ConfigError as exc:
         print(f"brickwork-ep: config error: {exc}", file=sys.stderr)

@@ -24,16 +24,12 @@ class Tolerances:
     parity_commutator: float = 1e-12
     trace_preservation: float = 1e-12
     choi_floor: float = 1e-10          # Choi eigenvalues must exceed -choi_floor
-    block_spectra_match: float = 1e-10
-    char_poly: float = 1e-9
 
     # analytic spectrum / EP manifold
-    spectra_match: float = 1e-9
     ep_gap: float = 1e-6               # |mu9 - mu10| below this counts as coalesced
     ep_discriminant: float = 1e-10     # |A| at a certified EP
 
     # dynamics
-    expansion_match: float = 1e-9      # direct evolution vs biorthogonal expansion, relative to max
     near_ep_collar: float = 1e-5       # |eps - eps_EP| below which the expansion route is disabled
     tail_drift: float = 1e-4           # constant-tail criterion
     linear_fit_r2: float = 0.999       # linear-growth criterion

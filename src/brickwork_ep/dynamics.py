@@ -80,6 +80,36 @@ def evolve_by_powers(s: Superoperator, rho0: np.ndarray, steps,
     return [devectorize(np.linalg.matrix_power(s.matrix, int(n)) @ v) for n in steps]
 
 
+def _closed_form_point(point: ParameterPoint) -> bool:
+    return point.regime is ParameterRegime.EASY_PLANE and point.superintegrable
+
+
+class EPRegime(enum.Enum):
+    BELOW_EP = "below"
+    AT_EP = "at"
+    ABOVE_EP = "above"
+
+
+def _discriminant_regime(point: ParameterPoint, tols: Tolerances):
+    """(easy-plane discriminant, regime it places the point in).
+
+    AT_EP within `near_ep_collar` of the critical epsilon.  Both are None
+    outside the theta = 0 easy plane; the regime alone is None where the
+    critical epsilon is undefined.
+    """
+    if not _closed_form_point(point):
+        return None, None
+    x, gamma = float(np.real(point.x)), float(np.real(point.gamma))
+    disc = ep_discriminant(x, gamma, point.epsilon)
+    try:
+        eps_ep = critical_epsilon(x, gamma)
+    except ValueError:
+        return disc, None
+    if abs(point.epsilon - eps_ep) < tols.near_ep_collar:
+        return disc, EPRegime.AT_EP
+    return disc, EPRegime.BELOW_EP if point.epsilon < eps_ep else EPRegime.ABOVE_EP
+
+
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Observable time series with its rescaled-amplitude diagnostic."""
@@ -88,13 +118,13 @@ class TrajectoryRecord:
     values: np.ndarray            # complex <g[n]>, n = 0..n_max
     rescaled: np.ndarray          # |mu_rescale|^{-n} |values[n]|
     mu_rescale: complex
-    regime: "EPRegime | None"
+    regime: EPRegime | None
     initial_state: np.ndarray
     expansion_deviation: float | None   # direct vs biorthogonal expansion; None if disabled
 
 
 def _default_rescale(point: ParameterPoint) -> complex:
-    if point.regime is ParameterRegime.EASY_PLANE and abs(point.theta) < 1e-14:
+    if _closed_form_point(point):
         mu = analytic_spectrum(point).mu
         return mu[8] if abs(mu[8]) >= abs(mu[9]) else mu[9]
     return 1.0 + 0.0j
@@ -114,31 +144,23 @@ def observable_series(s: Superoperator, rho0: np.ndarray, g: Observable, n_max: 
     states = evolve(s, rho0, n_max, tols)
     values = np.array([np.trace(g.matrix @ st) for st in states])
 
-    near_ep = False
     point = s.point
-    if point.regime is ParameterRegime.EASY_PLANE and abs(point.theta) < 1e-14:
-        try:
-            eps_ep = critical_epsilon(float(np.real(point.x)), float(np.real(point.gamma)))
-            near_ep = abs(point.epsilon - eps_ep) < tols.near_ep_collar
-        except ValueError:
-            pass
-
+    _, disc_regime = _discriminant_regime(point, tols)
+    ns = np.arange(n_max + 1)
     expansion_deviation = None
     es = eig_general(s.matrix, tols)
-    if not es.near_defective and not near_ep:
+    if not es.near_defective and disc_regime is not EPRegime.AT_EP:
         weights = np.empty(16, dtype=complex)
         for j in range(16):
             wj = es.left[:, j].conj()
             overlap = wj @ es.right[:, j]
             alpha = (wj @ vectorize(rho0)) / overlap
             weights[j] = alpha * np.trace(g.matrix @ devectorize(es.right[:, j]))
-        ns = np.arange(n_max + 1)
         series = (es.eigenvalues[None, :] ** ns[:, None]) @ weights
         expansion_deviation = float(np.abs(series - values).max()
                                     / max(np.abs(values).max(), 1e-300))
 
     mur = _default_rescale(point) if mu_rescale is None else mu_rescale
-    ns = np.arange(n_max + 1)
     rescaled = np.abs(values) / np.abs(mur) ** ns
     return TrajectoryRecord(
         n_max=n_max, values=values, rescaled=rescaled, mu_rescale=mur,
@@ -161,12 +183,6 @@ def jordan_growth(mu0: complex, psi, n_max: int) -> np.ndarray:
     return np.sqrt(top**2 + abs(b) ** 2)
 
 
-class EPRegime(enum.Enum):
-    BELOW_EP = "below"
-    AT_EP = "at"
-    ABOVE_EP = "above"
-
-
 @dataclass(frozen=True)
 class RegimeReport:
     regime: EPRegime | None     # None when the evidence is inconclusive
@@ -175,7 +191,6 @@ class RegimeReport:
     tail_drift: float
     slope: float
     r_squared: float
-    peak_to_peak: float
     discriminant: float | None
     reason: str
 
@@ -205,7 +220,6 @@ def classify_regime(point: ParameterPoint, record: TrajectoryRecord,
     if record.n_max < 20:
         raise ValueError("need n_max >= 20 samples for classification")
     drift, slope, r2, mean, tail = _tail_statistics(record.rescaled)
-    ptp = drift
 
     if drift < tols.tail_drift:
         data_regime = EPRegime.BELOW_EP
@@ -214,22 +228,10 @@ def classify_regime(point: ParameterPoint, record: TrajectoryRecord,
     else:
         # bounded oscillation: any residual linear trend must stay well below
         # the oscillation amplitude (a growing series has fraction ~ 1)
-        trend_fraction = abs(slope) * len(tail) / (mean * max(ptp, 1e-300))
-        data_regime = EPRegime.ABOVE_EP if (ptp > tols.tail_drift and trend_fraction < 0.5) else None
+        trend_fraction = abs(slope) * len(tail) / (mean * max(drift, 1e-300))
+        data_regime = EPRegime.ABOVE_EP if (drift > tols.tail_drift and trend_fraction < 0.5) else None
 
-    disc = None
-    disc_regime = None
-    if point.regime is ParameterRegime.EASY_PLANE and abs(point.theta) < 1e-14:
-        x, gamma = float(np.real(point.x)), float(np.real(point.gamma))
-        disc = ep_discriminant(x, gamma, point.epsilon)
-        try:
-            eps_ep = critical_epsilon(x, gamma)
-            if abs(point.epsilon - eps_ep) < tols.near_ep_collar:
-                disc_regime = EPRegime.AT_EP
-            else:
-                disc_regime = EPRegime.BELOW_EP if point.epsilon < eps_ep else EPRegime.ABOVE_EP
-        except ValueError:
-            pass
+    disc, disc_regime = _discriminant_regime(point, tols)
 
     if data_regime is None:
         regime, reason = None, "tail statistics fit no regime"
@@ -240,7 +242,7 @@ def classify_regime(point: ParameterPoint, record: TrajectoryRecord,
         regime, reason = data_regime, "ok"
     return RegimeReport(regime=regime, data_regime=data_regime,
                         discriminant_regime=disc_regime, tail_drift=drift,
-                        slope=slope, r_squared=r2, peak_to_peak=ptp,
+                        slope=slope, r_squared=r2,
                         discriminant=disc, reason=reason)
 
 

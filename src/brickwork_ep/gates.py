@@ -74,6 +74,11 @@ class ParameterPoint:
     def q(self) -> complex:
         return np.exp(1j * self.gamma)
 
+    @property
+    def superintegrable(self) -> bool:
+        """theta = 0: the case with closed-form spectrum and EP manifold."""
+        return abs(self.theta) < 1e-14
+
     @classmethod
     def easy_plane(cls, x: float, gamma: float, epsilon: float, theta: float = 0.0):
         return cls(x=float(x), gamma=float(gamma), epsilon=epsilon, theta=theta,
@@ -105,19 +110,24 @@ class GateSet:
     unitary: bool   # U passed the unitarity check (guaranteed CPTP step)
 
 
-def coupling_gate(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS):
-    """The 4x4 two-qubit gate with unit corners and a symmetric centre block.
-
-    a = (q - 1/q) / (q lam - 1/(q lam)),  b = (lam - 1/lam) / (q lam - 1/(q lam)).
-    Rejects parameters where q^2 lam^2 = 1 or q^2 = lam^2: those denominators
-    reappear throughout the parity-block spectra and make the point singular.
-    """
-    lam, q = point.lam, point.q
+def check_denominators(lam: complex, q: complex, tols: Tolerances):
+    """Reject parameters where q^2 lam^2 = 1 or q^2 = lam^2: those denominators
+    appear in the gate and throughout the parity-block spectra."""
     if abs(q * q * lam * lam - 1.0) < tols.singular_gate or abs(q * q - lam * lam) < tols.singular_gate:
         raise SingularGateError(
             f"singular gate parameters: |q^2 lam^2 - 1| = {abs(q*q*lam*lam-1.0):.2e}, "
             f"|q^2 - lam^2| = {abs(q*q-lam*lam):.2e}"
         )
+
+
+def coupling_gate(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS):
+    """The 4x4 two-qubit gate with unit corners and a symmetric centre block.
+
+    a = (q - 1/q) / (q lam - 1/(q lam)),  b = (lam - 1/lam) / (q lam - 1/(q lam)).
+    Singular parameters are rejected by `check_denominators`.
+    """
+    lam, q = point.lam, point.q
+    check_denominators(lam, q, tols)
     den = q * lam - 1.0 / (q * lam)
     a = (q - 1.0 / q) / den
     b = (lam - 1.0 / lam) / den

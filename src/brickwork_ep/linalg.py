@@ -96,7 +96,8 @@ def eig_general(a, tols: Tolerances = DEFAULT_TOLS) -> EigenSystem:
     vr = vr / np.linalg.norm(vr, axis=0)
     vl = vl / np.linalg.norm(vl, axis=0)
 
-    scale = max(1.0, np.linalg.norm(a, 2))
+    anorm = np.linalg.norm(a, 2)
+    scale = max(1.0, anorm)
     for group in _cluster_indices(w, tols.cluster_gap * scale):
         if len(group) < 2:
             continue
@@ -111,7 +112,6 @@ def eig_general(a, tols: Tolerances = DEFAULT_TOLS) -> EigenSystem:
         kappa = np.where(overlaps > 0, 1.0 / overlaps, np.inf)
     min_overlap = float(overlaps.min())
 
-    anorm = np.linalg.norm(a, 2)
     res_r = np.linalg.norm(a @ vr - vr * w, axis=0).max()
     res_l = np.linalg.norm(vl.conj().T @ a - w[:, None] * vl.conj().T, axis=1).max()
     residual = float(max(res_r, res_l))

@@ -13,20 +13,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .gates import ParameterPoint, ParameterRegime, SingularGateError
+from .gates import ParameterPoint, ParameterRegime, check_denominators
 from .linalg import JordanCertificate, jordan_certificate
 from .superop import (UnsupportedRegimeError, pair_splitting_sqrt,
                       pair_sum_coeff, superoperator_at)
 
 
-def _require_superintegrable(point: ParameterPoint):
-    if abs(point.theta) > 1e-14:
+def _closed_form_inputs(point: ParameterPoint, tols: Tolerances):
+    """(lam, q, eps, Q) of a theta = 0 point whose denominators do not vanish."""
+    if not point.superintegrable:
         raise UnsupportedRegimeError("closed forms require theta = 0")
+    lam, q, eps = point.lam, point.q, point.epsilon
+    check_denominators(lam, q, tols)
+    return lam, q, eps, pair_splitting_sqrt(lam, q, eps)
 
 
-def _check_denominators(lam, q, tols: Tolerances):
-    if abs(q * q * lam * lam - 1.0) < tols.singular_gate or abs(q * q - lam * lam) < tols.singular_gate:
-        raise SingularGateError("spectrum denominators vanish at this point")
+def _f_pm(lam, q, eps, Q):
+    """(f-, f+) = (lam (q^2 - 1)(eps - 1) -+ Q) / (2 (lam^2 - 1) q)."""
+    core = lam * (q * q - 1.0) * (eps - 1.0)
+    den = 2.0 * (lam * lam - 1.0) * q
+    return (core - Q) / den, (core + Q) / den
 
 
 @dataclass(frozen=True)
@@ -57,12 +63,8 @@ def analytic_spectrum(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) ->
     square-root pairs built from Q, with mu11,12 = eps*mu9,10 and
     mu15,16 = eps*mu13,14.
     """
-    _require_superintegrable(point)
-    lam, q, eps = point.lam, point.q, point.epsilon
-    _check_denominators(lam, q, tols)
-
+    lam, q, eps, Q = _closed_form_inputs(point, tols)
     f = pair_sum_coeff(q, eps)
-    Q = pair_splitting_sqrt(lam, q, eps)
     dm = lam * lam * q * q - 1.0
     dp = q * q - lam * lam
 
@@ -101,17 +103,16 @@ def ep_discriminant(x: float, gamma: float, epsilon: float) -> float:
 def critical_epsilon(x: float, gamma: float) -> float:
     """Relaxation strength at which the spectrum develops a second-order EP.
 
-    Solves the discriminant's zero in (0, 1]; even in x, with a cusp at
-    x = 0 where the value is exactly 1.
+    The discriminant's zero solves eps^2 - (2 + u) eps + 1 = 0 with
+    u = 4 sinh^2 x / sin^2 gamma.  Its roots multiply to 1, so the small one
+    is taken as 2 / (2 + u + sqrt(u (u + 4))), free of cancellation.  Even in
+    x, with a cusp at x = 0 where the value is exactly 1.
     """
     s2 = np.sin(gamma) ** 2
     if s2 < 1e-24:
         raise ValueError("gamma must not be a multiple of pi")
-    if x == 0.0:
-        return 1.0
-    value = (np.cosh(2.0 * x) - np.cos(gamma) ** 2
-             - np.sqrt(2.0) * abs(np.sinh(x)) * np.sqrt(np.cosh(2.0 * x) - np.cos(2.0 * gamma))) / s2
-    return min(float(value), 1.0)
+    u = 4.0 * np.sinh(x) ** 2 / s2
+    return float(2.0 / (2.0 + u + np.sqrt(u) * np.sqrt(u + 4.0)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class EPRecord:
     point: ParameterPoint          # epsilon set to the critical value
     mu0: complex                   # coalesced eigenvalue of the odd block
     sector: str                    # always "odd": the pair lives in tau_minus
-    certificate: JordanCertificate | None
+    certificate: JordanCertificate
     discriminant_residual: float   # |A| at the located point
     certified: bool                # analytic (A ~ 0) and numeric (defective pair) agree
 
@@ -141,8 +142,7 @@ def certify_ep(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) -> EPReco
                     discriminant_residual=float(a_res), certified=certified)
 
 
-def ep_scan(gamma_grid, x_grid, tols: Tolerances = DEFAULT_TOLS,
-            certify: bool = True) -> list[EPRecord]:
+def ep_scan(gamma_grid, x_grid, tols: Tolerances = DEFAULT_TOLS) -> list[EPRecord]:
     """Locate the EP surface over a (gamma, x) grid in the easy plane.
 
     One record per grid point whose critical epsilon lies in (0, 1];
@@ -157,15 +157,7 @@ def ep_scan(gamma_grid, x_grid, tols: Tolerances = DEFAULT_TOLS,
     for gamma in sorted(gamma_grid):
         for x in sorted(x_grid):
             eps = critical_epsilon(x, gamma)
-            point = ParameterPoint.easy_plane(x, gamma, eps)
-            if certify:
-                records.append(certify_ep(point, tols))
-            else:
-                spec = analytic_spectrum(point, tols)
-                mu0 = (spec.mu[8] + spec.mu[9]) / 2.0
-                records.append(EPRecord(point=point, mu0=mu0, sector="odd",
-                                        certificate=None, discriminant_residual=abs(spec.A),
-                                        certified=False))
+            records.append(certify_ep(ParameterPoint.easy_plane(x, gamma, eps), tols))
     return records
 
 
@@ -198,14 +190,9 @@ class ClosedFormVectors:
 def closed_form_right_vectors(point: ParameterPoint,
                               tols: Tolerances = DEFAULT_TOLS) -> ClosedFormVectors:
     """Eigenvectors of the theta = 0 step for labels {1..6, 9, 10, 13, 14}."""
-    _require_superintegrable(point)
-    lam, q, eps = point.lam, point.q, point.epsilon
-    _check_denominators(lam, q, tols)
-    Q = pair_splitting_sqrt(lam, q, eps)
+    lam, q, eps, Q = _closed_form_inputs(point, tols)
     F = (1.0 - q * q) * (eps - 1.0) * lam / (q * (lam * lam - 1.0))
-
-    f_minus = (lam * (q * q - 1.0) * (eps - 1.0) - Q) / (2.0 * (lam * lam - 1.0) * q)
-    f_plus = (lam * (q * q - 1.0) * (eps - 1.0) + Q) / (2.0 * (lam * lam - 1.0) * q)
+    f_minus, f_plus = _f_pm(lam, q, eps, Q)
 
     vecs: dict[int, np.ndarray] = {}
     vecs[1] = _e(1)
@@ -218,9 +205,8 @@ def closed_form_right_vectors(point: ParameterPoint,
     vecs[9] = _e(5) + (f_minus / eps) * _e(9)
     vecs[10] = vecs[9] if coalesced else _e(5) + (f_plus / eps) * _e(9)
 
-    c13 = (Q - lam * (q * q - 1.0) * (eps - 1.0)) / (2.0 * (lam * lam - 1.0) * q * eps)
-    vecs[13] = _e(2) + c13 * _e(3)
-    vecs[14] = vecs[13] if coalesced else _e(2) + (c13 + Q / (q * eps * (1.0 - lam * lam))) * _e(3)
+    vecs[13] = _e(2) - (f_minus / eps) * _e(3)
+    vecs[14] = vecs[13] if coalesced else _e(2) - (f_plus / eps) * _e(3)
     return ClosedFormVectors(vectors=vecs, coalesced=coalesced)
 
 
@@ -234,15 +220,10 @@ def closed_form_left_vectors(point: ParameterPoint,
     4-dimensional invariant subspace that feeds the pair.  Normalization:
     bilinear contraction with the matching right vector equals one.
     """
-    _require_superintegrable(point)
-    lam, q, eps = point.lam, point.q, point.epsilon
-    _check_denominators(lam, q, tols)
-    Q = pair_splitting_sqrt(lam, q, eps)
+    lam, q, eps, Q = _closed_form_inputs(point, tols)
     if abs(Q / (lam * lam * q * q - 1.0)) < tols.ep_gap:
         raise UnsupportedRegimeError("biorthogonal left vectors do not exist at the EP")
-    f = pair_sum_coeff(q, eps)
-    f_minus = (lam * (q * q - 1.0) * (eps - 1.0) - Q) / (2.0 * (lam * lam - 1.0) * q)
-    f_plus = (lam * (q * q - 1.0) * (eps - 1.0) + Q) / (2.0 * (lam * lam - 1.0) * q)
+    f_minus, f_plus = _f_pm(lam, q, eps, Q)
 
     out: dict[int, np.ndarray] = {}
     pref = q * (lam * lam - 1.0) / Q
@@ -254,11 +235,10 @@ def closed_form_left_vectors(point: ParameterPoint,
     s = superoperator_at(point, tols)
     sub = [4, 8, 13, 14]   # 0-based
     M = s.matrix[np.ix_(sub, sub)]
-    dm = lam * lam * q * q - 1.0
+    mu = analytic_spectrum(point, tols).mu
     for label, fpm in ((9, f_minus), (10, f_plus)):
-        mu = (f * lam + (Q if label == 10 else -Q)) / (2.0 * dm)
         known = np.array([1.0, fpm, 0.0, 0.0], dtype=complex)
-        A = M.T - mu * np.eye(4)
+        A = M.T - mu[label - 1] * np.eye(4)
         sol, *_ = np.linalg.lstsq(A[:, 2:], -A @ known, rcond=None)
         w = np.zeros(16, dtype=complex)
         w[sub] = [1.0, fpm, sol[0], sol[1]]
@@ -288,17 +268,12 @@ def sensing_coefficients(point: ParameterPoint,
     gamma9 = g-/(2(4+g-)), gamma10 = g+/(2(4+g+)), with
     g+- = (lam(q^2-1)(eps-1) +- Q)^2 / ((lam^2-1)^2 q^2 eps) = 4 f+-^2 / eps.
     """
-    _require_superintegrable(point)
-    lam, q, eps = point.lam, point.q, point.epsilon
-    _check_denominators(lam, q, tols)
+    lam, q, eps, Q = _closed_form_inputs(point, tols)
     if abs(lam * lam - 1.0) < 1e-12:
         raise ValueError("coefficients are singular at lambda = 1")
-    Q = pair_splitting_sqrt(lam, q, eps)
-    core = lam * (q * q - 1.0) * (eps - 1.0)
-    f_minus = (core - Q) / (2.0 * (lam * lam - 1.0) * q)
-    f_plus = (core + Q) / (2.0 * (lam * lam - 1.0) * q)
-    g_minus = (core - Q) ** 2 / ((lam * lam - 1.0) ** 2 * q * q * eps)
-    g_plus = (core + Q) ** 2 / ((lam * lam - 1.0) ** 2 * q * q * eps)
+    f_minus, f_plus = _f_pm(lam, q, eps, Q)
+    g_minus = 4.0 * f_minus**2 / eps
+    g_plus = 4.0 * f_plus**2 / eps
     return SensingCoefficients(
         gamma9=g_minus / (2.0 * (4.0 + g_minus)),
         gamma10=g_plus / (2.0 * (4.0 + g_plus)),

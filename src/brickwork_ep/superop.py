@@ -10,7 +10,7 @@ import scipy.linalg as la
 
 from .config import DEFAULT_TOLS, Tolerances
 from .gates import GateSet, ParameterPoint, SIGMA_ZZ, build_gate_set
-from .linalg import devectorize, eig_general, kron, vectorize
+from .linalg import devectorize, eig_general, kron, match_spectra, vectorize
 
 
 class SymmetryViolationError(RuntimeError):
@@ -30,7 +30,11 @@ ODD_INDICES = tuple(int(i) for i in np.flatnonzero(_PARITY_DIAG < 0))
 
 
 def parity_projectors():
-    """The complementary projectors (1/2)(I16 +/- sigma_zz x sigma_zz)."""
+    """The complementary projectors (1/2)(I16 +/- sigma_zz x sigma_zz).
+
+    Test oracle for the index split: `block_reduce` reads the cross-parity
+    blocks directly instead.
+    """
     P = np.kron(SIGMA_ZZ, SIGMA_ZZ)
     I16 = np.eye(16, dtype=complex)
     return (I16 + P) / 2, (I16 - P) / 2
@@ -45,8 +49,6 @@ class Superoperator:
     gates: GateSet
     tau_plus: np.ndarray         # 8x8 even-parity block
     tau_minus: np.ndarray        # 8x8 odd-parity block
-    even_indices: tuple[int, ...]
-    odd_indices: tuple[int, ...]
     cptp_guaranteed: bool        # coupling gate passed the unitarity check
 
 
@@ -65,21 +67,20 @@ def apply_step(g: GateSet, rho: np.ndarray) -> np.ndarray:
 def block_reduce(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     """Split a parity-symmetric 16x16 map into its two 8x8 blocks.
 
-    Returns (tau_plus, tau_minus, even_indices, odd_indices).  Raises
-    SymmetryViolationError if the map does not commute with the parity
-    projectors (e.g. a local gate not commuting with sigma_z).
+    Returns (tau_plus, tau_minus).  Raises SymmetryViolationError if the map
+    does not commute with the parity projectors (e.g. a local gate not
+    commuting with sigma_z).  The commutator's entries are the cross-parity
+    entries up to sign, so those are checked directly.
     """
-    qp, qm = parity_projectors()
     scale = max(1.0, np.abs(matrix).max())
-    comm = max(np.abs(qp @ matrix - matrix @ qp).max(),
-               np.abs(qm @ matrix - matrix @ qm).max())
+    comm = max(np.abs(matrix[np.ix_(EVEN_INDICES, ODD_INDICES)]).max(),
+               np.abs(matrix[np.ix_(ODD_INDICES, EVEN_INDICES)]).max())
     if comm > tols.parity_commutator * scale:
         raise SymmetryViolationError(
             f"parity commutator {comm:.3e} exceeds tolerance {tols.parity_commutator:.1e}"
         )
-    tau_plus = matrix[np.ix_(EVEN_INDICES, EVEN_INDICES)]
-    tau_minus = matrix[np.ix_(ODD_INDICES, ODD_INDICES)]
-    return tau_plus, tau_minus, EVEN_INDICES, ODD_INDICES
+    return (matrix[np.ix_(EVEN_INDICES, EVEN_INDICES)],
+            matrix[np.ix_(ODD_INDICES, ODD_INDICES)])
 
 
 def embed_blocks(tau_plus: np.ndarray, tau_minus: np.ndarray) -> np.ndarray:
@@ -97,11 +98,10 @@ def build_superoperator(g: GateSet, tols: Tolerances = DEFAULT_TOLS) -> Superope
         M = kron(K, g.V)
         T += kron(M, M.conj())
     T = kron(g.U, g.U.conj()) @ T
-    tau_plus, tau_minus, even, odd = block_reduce(T, tols)
+    tau_plus, tau_minus = block_reduce(T, tols)
     return Superoperator(
         matrix=T, point=g.point, gates=g,
         tau_plus=tau_plus, tau_minus=tau_minus,
-        even_indices=even, odd_indices=odd,
         cptp_guaranteed=g.unitary,
     )
 
@@ -118,14 +118,12 @@ def trace_preservation_defect(matrix: np.ndarray) -> float:
 
 
 def choi_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| x E(|i><j|) of the 4-dim channel E."""
-    J = np.zeros((16, 16), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            Eij = np.zeros((4, 4), dtype=complex)
-            Eij[i, j] = 1.0
-            J += np.kron(Eij, devectorize(matrix @ vectorize(Eij)))
-    return J
+    """Choi matrix sum_ij |i><j| x E(|i><j|) of the 4-dim channel E.
+
+    E(|i><j|)[k, l] = matrix[4k + l, 4i + j], so J is a transpose of the
+    map's entries.
+    """
+    return matrix.reshape(4, 4, 4, 4).transpose(2, 0, 3, 1).reshape(16, 16)
 
 
 def choi_min_eigenvalue(matrix: np.ndarray) -> float:
@@ -197,13 +195,6 @@ def odd_sector_quadratics(lam: complex, q: complex, epsilon: float):
     return P1, P2, P3, P4
 
 
-def _poly_eval(coeffs, mu: complex) -> complex:
-    out = 0.0 + 0.0j
-    for c in coeffs:
-        out = out * mu + c
-    return out
-
-
 @dataclass(frozen=True)
 class CharFactorReport:
     """Factored characteristic polynomial of one parity block, checked
@@ -225,7 +216,7 @@ def factored_char_poly(tau: np.ndarray, point: ParameterPoint, sector: str,
     Odd sector: the four quadratics of `odd_sector_quadratics`, with the
     rescaling relation roots(P2) = eps * roots(P1), roots(P4) = eps * roots(P3).
     """
-    if abs(point.theta) > 1e-14:
+    if not point.superintegrable:
         raise UnsupportedRegimeError("closed-form factorization requires theta = 0")
     lam, q, eps = point.lam, point.q, point.epsilon
     if sector == "even":
@@ -238,13 +229,8 @@ def factored_char_poly(tau: np.ndarray, point: ParameterPoint, sector: str,
         P1, P2, P3, P4 = odd_sector_quadratics(lam, q, eps)
         factors = (P1, P2, P3, P4)
         capacity = [2, 2, 2, 2]
-        r1 = np.roots(P1)
-        r2 = np.roots(P2)
-        r3 = np.roots(P3)
-        r4 = np.roots(P4)
-        d12 = _set_distance(r2, eps * r1)
-        d34 = _set_distance(r4, eps * r3)
-        rescale_defect = max(d12, d34)
+        rescale_defect = max(match_spectra(np.roots(P2), eps * np.roots(P1)).max_distance,
+                             match_spectra(np.roots(P4), eps * np.roots(P3)).max_distance)
     else:
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
 
@@ -253,7 +239,7 @@ def factored_char_poly(tau: np.ndarray, point: ParameterPoint, sector: str,
     assignments = []
     max_residual = 0.0
     for mu in evals:
-        vals = [abs(_poly_eval(f, mu)) if remaining[k] > 0 else np.inf
+        vals = [abs(np.polyval(f, mu)) if remaining[k] > 0 else np.inf
                 for k, f in enumerate(factors)]
         k = int(np.argmin(vals))
         remaining[k] -= 1
@@ -267,9 +253,3 @@ def factored_char_poly(tau: np.ndarray, point: ParameterPoint, sector: str,
         max_residual=max_residual,
         rescale_defect=float(rescale_defect),
     )
-
-
-def _set_distance(xs, ys) -> float:
-    xs = sorted(np.asarray(xs, dtype=complex), key=lambda z: (z.real, z.imag))
-    ys = sorted(np.asarray(ys, dtype=complex), key=lambda z: (z.real, z.imag))
-    return max(abs(x - y) for x, y in zip(xs, ys))

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from brickwork_ep.cli import main
 
@@ -236,3 +237,51 @@ def test_tol_override_rejected_when_unknown(tmp_path):
     code = run(["spectrum", "--gamma", GAMMA_A, "--x", X_A, "--epsilon", 0.32,
                 "--tol-overrides", "not_a_tol=1", "--output", out])
     assert code == 2
+
+
+def test_config_file_fills_flags_with_defaults(tmp_path):
+    # values for flags whose argparse default is not None were ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"gamma = {GAMMA_A!r}\nx = {X_A!r}\nepsilon0 = 0.32\n"
+                   "delta = 0.05\nn_max = 30\nformat = json\nseed = 9\n"
+                   "observable = probe-adjoint\n")
+    out = tmp_path / "evolve.json"
+    assert run(["evolve", "--config", cfg, "--output", out]) == 0
+    doc = json.loads(out.read_text())
+    meta = doc["metadata"]
+    assert float(meta["delta"]) == 0.05
+    assert (meta["n-max"], meta["format"], meta["seed"]) == ("30", "json", "9")
+    assert meta["observable"] == "probe-adjoint"
+    assert len(doc["rows"]) == 3 * 31
+    # the command line still wins, and a bad file value is a usage error
+    assert run(["evolve", "--config", cfg, "--format", "csv", "--output", out]) == 0
+    assert out.read_text().startswith("# command = evolve")
+    cfg.write_text("x = 0.3\nformat = xml\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--config", cfg, "--gamma", GAMMA_A, "--epsilon", 0.3,
+             "--output", out])
+    assert exc.value.code == 2
+
+
+def test_config_file_sweep_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sweep = x\nsweep_grid = -0.4:0.4:5\nepsilon = 0.4\n")
+    out = tmp_path / "bif.csv"
+    assert run(["bifurcate", "--config", cfg, "--gamma", GAMMA_A, "--output", out]) == 0
+    meta, _, rows = read_csv(out)
+    assert meta["sweep"] == "x" and len(rows) == 5 * 16
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "spec.csv"
+    code = run(["spectrum", "--gamma", GAMMA_A, "--x", X_A, "--epsilon", 0.32,
+                "--output", out])
+    assert code == 2
+    assert "cannot write output file" in capsys.readouterr().err
+
+
+def test_trotter_rejects_nonpositive_step_count(tmp_path):
+    for n_list in ("0,10", "-5,10"):
+        code = run(["trotter", "--gamma", GAMMA_A, f"--n-list={n_list}",
+                    "--output", tmp_path / "t.csv"])
+        assert code == 2

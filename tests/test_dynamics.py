@@ -155,7 +155,7 @@ def test_regime_above():
     point, rec = _probe_record(0.48)
     report = classify_regime(point, rec)
     assert report.regime is EPRegime.ABOVE_EP
-    assert report.peak_to_peak > 1e-3
+    assert report.tail_drift > 1e-3
 
 
 def test_at_ep_linearity_quality():

@@ -98,6 +98,18 @@ def test_critical_epsilon_even_and_cusp():
     assert left == right
 
 
+# 50-digit references for the small root of eps^2 - (2 + u) eps + 1 = 0,
+# u = 4 sinh^2 x / sin^2 gamma
+def test_critical_epsilon_no_underflow_at_large_x():
+    # the difference-of-large-terms form returned 0.0 here
+    assert abs(critical_epsilon(6.0, 0.02) / 2.4573874527327050198e-9 - 1.0) < 1e-13
+
+
+def test_critical_epsilon_accurate_at_small_gamma():
+    # the difference-of-large-terms form was off by 1.6e-3 relative here
+    assert abs(critical_epsilon(3.0, 0.01) / 2.4910021666604672434e-7 - 1.0) < 1e-13
+
+
 def test_critical_epsilon_rejects_gamma_multiple_of_pi():
     with pytest.raises(ValueError):
         critical_epsilon(0.3, 0.0)

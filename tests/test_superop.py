@@ -77,7 +77,6 @@ def test_block_roundtrip(rng):
     point = random_easy_plane_point(rng)
     s = superoperator_at(point)
     assert np.array_equal(embed_blocks(s.tau_plus, s.tau_minus), s.matrix)
-    assert s.even_indices == EVEN_INDICES and s.odd_indices == ODD_INDICES
 
 
 def test_block_reduce_rejects_broken_symmetry(rng):
