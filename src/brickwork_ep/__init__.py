@@ -35,5 +35,5 @@ from .superop import (CharFactorReport, EVEN_INDICES, ODD_INDICES, Superoperator
                       SymmetryViolationError, UnsupportedRegimeError, apply_step,
                       block_reduce, build_superoperator, choi_matrix,
                       choi_min_eigenvalue, embed_blocks, factored_char_poly,
-                      parity_projectors, steady_state, superoperator_at,
+                      pair_block, parity_projectors, steady_state, superoperator_at,
                       trace_preservation_defect)

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -118,17 +119,24 @@ def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
     return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
-def _resolve_point(args, epsilon: float | None = None) -> ParameterPoint:
-    if args.x is not None and args.lam is not None:
-        raise ConfigError("--x and --lambda are mutually exclusive")
-    if args.x is None and args.lam is None:
-        raise ConfigError("one of --x or --lambda is required")
-    x = float(args.x) if args.x is not None else float(np.log(args.lam))
+def _resolve_point(args, epsilon: float | None = None,
+                   x: float | None = None) -> ParameterPoint:
+    """The point the flags name, `epsilon` or `x` replacing a flag's value;
+    invalid values are user errors."""
+    if x is None:
+        if args.x is None and args.lam is None:
+            raise ConfigError("one of --x or --lambda is required")
+        if args.lam is not None and not args.lam > 0:
+            raise ConfigError(f"--lambda must be positive, got {args.lam}")
+        x = float(args.x) if args.x is not None else float(np.log(args.lam))
     eps = epsilon if epsilon is not None else args.epsilon
     if args.gamma is None or eps is None:
         raise ConfigError("--gamma and --epsilon are required")
-    theta = float(args.theta or 0.0)
-    return ParameterPoint.easy_plane(x, float(args.gamma), float(eps), theta)
+    try:
+        return ParameterPoint.easy_plane(x, float(args.gamma), float(eps),
+                                         float(args.theta or 0.0))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _resolve_tols(args):
@@ -224,32 +232,18 @@ def cmd_ep_scan(args) -> int:
 
 def cmd_bifurcate(args) -> int:
     tols = _resolve_tols(args)
-    if args.sweep not in ("epsilon", "x"):
-        raise ConfigError("--sweep must be 'epsilon' or 'x'")
     if args.sweep_grid is None:
         raise ConfigError("--sweep-grid is required")
     grid = _parse_grid(args.sweep_grid)
-    if args.gamma is None:
-        raise ConfigError("--gamma is required")
+    # the fixed parameters are checked once, the swept one at each grid value
+    fixed = (_resolve_point(args, epsilon=1.0) if args.sweep == "epsilon"
+             else _resolve_point(args, x=0.0))
 
     rows = []
     skipped = 0
     for val in grid:
-        if args.sweep == "epsilon":
-            if args.x is None and args.lam is None:
-                raise ConfigError("fixed --x or --lambda is required for an epsilon sweep")
-            x = float(args.x) if args.x is not None else float(np.log(args.lam))
-            eps = float(val)
-            if not 0.0 < eps <= 1.0:
-                skipped += 1
-                continue
-        else:
-            if args.epsilon is None:
-                raise ConfigError("fixed --epsilon is required for an x sweep")
-            x, eps = float(val), float(args.epsilon)
         try:
-            point = ParameterPoint.easy_plane(x, float(args.gamma), eps,
-                                              float(args.theta or 0.0))
+            point = replace(fixed, **{args.sweep: float(val)})
             s = superoperator_at(point, tols)
         except (SingularGateError, ValueError) as exc:
             print(f"brickwork-ep: skipping {args.sweep} = {val:.6g}: {exc}", file=sys.stderr)
@@ -271,6 +265,8 @@ def cmd_evolve(args) -> int:
     tols = _resolve_tols(args)
     if args.epsilon0 is None:
         raise ConfigError("--epsilon0 is required")
+    if args.n_max < 20:
+        raise ConfigError(f"--n-max must be at least 20 for the regime tags, got {args.n_max}")
     eps0, delta = args.epsilon0, args.delta
     if not (0.0 < eps0 - delta and eps0 + delta <= 1.0):
         raise ConfigError(f"epsilon0 +- delta must stay in (0, 1]: {eps0} +- {delta}")
@@ -390,7 +386,8 @@ def main(argv=None) -> int:
     except SingularGateError as exc:
         print(f"brickwork-ep: singular parameters: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (EigenDecompositionError, UnsupportedRegimeError, ValueError) as exc:
+    except (EigenDecompositionError, FloatingPointError, UnsupportedRegimeError,
+            ValueError) as exc:
         print(f"brickwork-ep: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -37,6 +37,14 @@ def build_xxz(gamma: float) -> XXZSpec:
                    b0=float(1.0 / np.sin(gamma)))
 
 
+def _ratio_check(rows, expected, rtol: float):
+    """Ratios r1/r2 of consecutive (k, r) rows, skipping r2 = 0, and whether
+    each lies within `rtol` of expected(k1, k2)."""
+    pairs = [(r1 / r2, expected(k1, k2))
+             for (k1, r1), (k2, r2) in zip(rows, rows[1:]) if r2 != 0.0]
+    return tuple(r for r, _ in pairs), all(abs(r - e) <= rtol * e for r, e in pairs)
+
+
 @dataclass(frozen=True)
 class XXZLimitReport:
     rows: tuple[tuple[float, float], ...]   # (delta, || U(e^delta) - (1 - i delta h12) ||)
@@ -56,17 +64,9 @@ def xxz_limit_check(gamma: float, deltas, tols: Tolerances = DEFAULT_TOLS) -> XX
         point = ParameterPoint.easy_plane(d, gamma, 1.0)
         U, _, _ = coupling_gate(point, tols)
         rows.append((d, float(np.linalg.norm(U - (I4 - 1j * d * spec.h12)))))
-    ratios = []
-    quadratic_ok = True
-    for (d1, r1), (d2, r2) in zip(rows, rows[1:]):
-        if r2 == 0.0:
-            continue
-        ratio = r1 / r2
-        expected = (d1 / d2) ** 2
-        ratios.append(ratio)
-        if abs(ratio - expected) > tols.quadratic_ratio_rtol * expected:
-            quadratic_ok = False
-    return XXZLimitReport(rows=tuple(rows), ratios=tuple(ratios), quadratic_ok=quadratic_ok)
+    ratios, quadratic_ok = _ratio_check(rows, lambda d1, d2: (d1 / d2) ** 2,
+                                        tols.quadratic_ratio_rtol)
+    return XXZLimitReport(rows=tuple(rows), ratios=ratios, quadratic_ok=quadratic_ok)
 
 
 def dissipator_matrix(L: np.ndarray) -> np.ndarray:
@@ -168,14 +168,6 @@ def composite_trotter_check(gamma: float, Gamma: float, t: float, n_list,
         unitary = float(np.linalg.norm(np.linalg.matrix_power(step_u, n) - ref_unitary))
         rows.append((n, unitary, composite))
 
-    ratios = []
-    halving_ok = True
-    for (n1, _, e1), (n2, _, e2) in zip(rows, rows[1:]):
-        if e2 == 0.0:
-            continue
-        ratio = e1 / e2
-        expected = n2 / n1
-        ratios.append(ratio)
-        if abs(ratio - expected) > tols.halving_ratio_rtol * expected:
-            halving_ok = False
-    return TrotterReport(rows=tuple(rows), ratios=tuple(ratios), halving_ok=halving_ok)
+    ratios, halving_ok = _ratio_check([(n, e) for n, _, e in rows], lambda n1, n2: n2 / n1,
+                                      tols.halving_ratio_rtol)
+    return TrotterReport(rows=tuple(rows), ratios=ratios, halving_ok=halving_ok)

@@ -55,7 +55,6 @@ class EigenSystem:
     unit-norm vectors; it diverges at a defective (Jordan) point.
     """
 
-    dim: int
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
@@ -87,7 +86,6 @@ def eig_general(a, tols: Tolerances = DEFAULT_TOLS) -> EigenSystem:
     a = _as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
     try:
         w, vl, vr = la.eig(a, left=True, right=True)
     except la.LinAlgError as exc:  # pragma: no cover - hard to trigger on dense input
@@ -121,7 +119,6 @@ def eig_general(a, tols: Tolerances = DEFAULT_TOLS) -> EigenSystem:
         )
 
     return EigenSystem(
-        dim=n,
         eigenvalues=w,
         right=vr,
         left=vl,
@@ -134,8 +131,7 @@ def eig_general(a, tols: Tolerances = DEFAULT_TOLS) -> EigenSystem:
 
 @dataclass(frozen=True)
 class SpectraMatch:
-    pairing: tuple[tuple[int, int], ...]   # (index into first list, index into second)
-    max_distance: float
+    max_distance: float   # largest distance between paired eigenvalues
 
 
 def match_spectra(numeric, analytic) -> SpectraMatch:
@@ -150,65 +146,43 @@ def match_spectra(numeric, analytic) -> SpectraMatch:
     if xs.size != ys.size:
         raise ValueError(f"spectra lengths differ: {xs.size} vs {ys.size}")
     dist = np.abs(xs[:, None] - ys[None, :])
-    n = xs.size
-    free_x = np.ones(n, dtype=bool)
-    free_y = np.ones(n, dtype=bool)
-    pairs = []
     dmax = 0.0
-    for _ in range(n):
-        masked = np.where(free_x[:, None] & free_y[None, :], dist, np.inf)
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        pairs.append((int(i), int(j)))
+    for _ in range(xs.size):
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
         dmax = max(dmax, float(dist[i, j]))
-        free_x[i] = False
-        free_y[j] = False
-    return SpectraMatch(pairing=tuple(pairs), max_distance=dmax)
+        dist[i, :] = dist[:, j] = np.inf   # each eigenvalue is paired once
+    return SpectraMatch(max_distance=dmax)
 
 
 @dataclass(frozen=True)
 class JordanCertificate:
-    """Numerical evidence that a nearly degenerate pair forms a 2x2 Jordan block."""
+    """Numerical evidence that a 2x2 block is a Jordan block."""
 
-    gap: float              # |mu_1 - mu_2| of the two eigenvalues closest to mu0
+    gap: float              # |mu_1 - mu_2| of the block's two eigenvalues
     min_overlap: float      # smaller unit-norm |<w|v>| of the pair
-    coupling: float         # off-diagonal magnitude of the 2x2 Schur restriction
-    nilpotent_ratio: float  # ||N^2|| / ||N||^2 for the traceless part of that restriction
+    nilpotent_ratio: float  # ||N^2|| / ||N||^2 for the traceless part N of the block
     defective: bool
 
 
-def jordan_certificate(a, mu0: complex, tols: Tolerances = DEFAULT_TOLS) -> JordanCertificate:
-    """Certify the 2x2 Jordan structure of the eigenvalue pair nearest `mu0`."""
-    a = _as_complex(a)
-    w, vl, vr = la.eig(a, left=True, right=True)
-    dists = np.abs(w - mu0)
-    order = np.argsort(dists)
-    p0, p1 = order[0], order[1]
-    gap = float(abs(w[p0] - w[p1]))
-    overlaps = []
-    for j in (p0, p1):
-        wj = vl[:, j] / np.linalg.norm(vl[:, j])
-        vj = vr[:, j] / np.linalg.norm(vr[:, j])
-        overlaps.append(abs(np.vdot(wj, vj)))
-    min_overlap = float(min(overlaps))
+def jordan_certificate(block, tols: Tolerances = DEFAULT_TOLS) -> JordanCertificate:
+    """Certify the Jordan structure of an invariant 2x2 block [[a, b], [c, d]].
 
-    # isolate the two-dimensional invariant subspace and inspect its nilpotent part
-    if len(w) > 2:
-        radius = 0.5 * (dists[order[1]] + dists[order[2]])
-    else:
-        radius = dists[order[1]] + 1.0
-    tt, _, sdim = la.schur(a, output="complex", sort=lambda m: abs(m - mu0) < radius)
-    if sdim != 2:
-        raise EigenDecompositionError(
-            f"expected an isolated pair near {mu0}, found invariant subspace of dim {sdim}"
-        )
-    block = tt[:2, :2]
-    nil = block - (np.trace(block) / 2) * np.eye(2)
-    nn = np.linalg.norm(nil)
-    nilpotent_ratio = float(np.linalg.norm(nil @ nil) / nn**2) if nn > 0 else 0.0
-    return JordanCertificate(
-        gap=gap,
-        min_overlap=min_overlap,
-        coupling=float(abs(block[0, 1])),
-        nilpotent_ratio=nilpotent_ratio,
-        defective=bool(min_overlap < tols.defect_overlap),
-    )
+    With s = sqrt((a - d)^2 + 4bc) the eigenvalues are (a + d -+ s)/2, the
+    right eigenvectors (b, mu - a) or, if longer, (mu - d, c), and the left
+    (row) eigenvectors (c, mu - a) or (mu - d, b).  The traceless part N
+    satisfies N^2 = (s^2/4) I.
+    """
+    (a, b), (c, d) = _as_complex(block)
+    nn2 = abs(a - d) ** 2 / 2 + abs(b) ** 2 + abs(c) ** 2   # ||N||^2
+    if nn2 == 0:   # a multiple of the identity: every vector is an eigenvector
+        return JordanCertificate(gap=0.0, min_overlap=1.0, nilpotent_ratio=0.0, defective=False)
+    s = np.sqrt((a - d) ** 2 + 4.0 * b * c)
+    overlaps = []
+    for mu in ((a + d - s) / 2, (a + d + s) / 2):
+        v = max((np.array([b, mu - a]), np.array([mu - d, c])), key=np.linalg.norm)
+        w = max((np.array([c, mu - a]), np.array([mu - d, b])), key=np.linalg.norm)
+        overlaps.append(abs(w @ v) / (np.linalg.norm(w) * np.linalg.norm(v)))
+    min_overlap = float(min(overlaps))
+    return JordanCertificate(gap=float(abs(s)), min_overlap=min_overlap,
+                             nilpotent_ratio=float(np.sqrt(2.0) * abs(s) ** 2 / 4 / nn2),
+                             defective=bool(min_overlap < tols.defect_overlap))

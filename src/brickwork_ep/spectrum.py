@@ -15,7 +15,8 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .gates import ParameterPoint, ParameterRegime, check_denominators
 from .linalg import JordanCertificate, jordan_certificate
-from .superop import (UnsupportedRegimeError, pair_splitting_sqrt,
+from .superop import (COMPLETION_INDICES, PAIR_INDICES, UnsupportedRegimeError,
+                      completion_blocks, pair_block, pair_splitting_sqrt,
                       pair_sum_coeff, superoperator_at)
 
 
@@ -33,6 +34,11 @@ def _f_pm(lam, q, eps, Q):
     core = lam * (q * q - 1.0) * (eps - 1.0)
     den = 2.0 * (lam * lam - 1.0) * q
     return (core - Q) / den, (core + Q) / den
+
+
+def _coalesced(lam, q, Q, tols: Tolerances) -> bool:
+    """mu9 and mu10 count as one eigenvalue: |mu10 - mu9| = |Q / (lam^2 q^2 - 1)| < ep_gap."""
+    return bool(abs(Q / (lam * lam * q * q - 1.0)) < tols.ep_gap)
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,6 @@ class EPRecord:
 
     point: ParameterPoint          # epsilon set to the critical value
     mu0: complex                   # coalesced eigenvalue of the odd block
-    sector: str                    # always "odd": the pair lives in tau_minus
     certificate: JordanCertificate
     discriminant_residual: float   # |A| at the located point
     certified: bool                # analytic (A ~ 0) and numeric (defective pair) agree
@@ -129,16 +134,17 @@ class EPRecord:
 
 def certify_ep(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) -> EPRecord:
     """Dual certification of an EP candidate: discriminant zero and a
-    defective odd-block pair."""
+    defective pair block."""
     spec = analytic_spectrum(point, tols)
     mu0 = (spec.mu[8] + spec.mu[9]) / 2.0
-    s = superoperator_at(point, tols)
-    cert = jordan_certificate(s.tau_minus, mu0, tols)
+    if not np.isfinite(mu0):
+        raise FloatingPointError(f"closed forms overflow at x = {point.x}, gamma = {point.gamma}")
+    cert = jordan_certificate(pair_block(superoperator_at(point, tols).matrix, tols), tols)
     a_res = abs(spec.A) if spec.A is not None else np.inf
     certified = bool(a_res <= tols.ep_discriminant
                      and cert.gap <= tols.ep_gap
                      and cert.defective)
-    return EPRecord(point=point, mu0=mu0, sector="odd", certificate=cert,
+    return EPRecord(point=point, mu0=mu0, certificate=cert,
                     discriminant_residual=float(a_res), certified=certified)
 
 
@@ -165,11 +171,16 @@ def ep_scan(gamma_grid, x_grid, tols: Tolerances = DEFAULT_TOLS) -> list[EPRecor
 # closed-form eigenvectors (theta = 0)
 # ---------------------------------------------------------------------------
 
+def _on(indices, values) -> np.ndarray:
+    """Vector with `values` at the 0-based `indices` and zeros elsewhere."""
+    v = np.zeros(16, dtype=complex)
+    v[list(indices)] = values
+    return v
+
+
 def _e(i: int) -> np.ndarray:
     """1-based unit vector in the 16-dim vectorized space."""
-    v = np.zeros(16, dtype=complex)
-    v[i - 1] = 1.0
-    return v
+    return _on([i - 1], 1.0)
 
 
 @dataclass(frozen=True)
@@ -201,9 +212,9 @@ def closed_form_right_vectors(point: ParameterPoint,
     vecs[3] = vecs[4] = base + F * _e(10)
     vecs[5] = vecs[6] = base - F * _e(7)
 
-    coalesced = abs(Q / (lam * lam * q * q - 1.0)) < tols.ep_gap
-    vecs[9] = _e(5) + (f_minus / eps) * _e(9)
-    vecs[10] = vecs[9] if coalesced else _e(5) + (f_plus / eps) * _e(9)
+    coalesced = _coalesced(lam, q, Q, tols)
+    vecs[9] = _on(PAIR_INDICES, (1.0, f_minus / eps))
+    vecs[10] = vecs[9] if coalesced else _on(PAIR_INDICES, (1.0, f_plus / eps))
 
     vecs[13] = _e(2) - (f_minus / eps) * _e(3)
     vecs[14] = vecs[13] if coalesced else _e(2) - (f_plus / eps) * _e(3)
@@ -214,34 +225,27 @@ def closed_form_left_vectors(point: ParameterPoint,
                              tols: Tolerances = DEFAULT_TOLS) -> dict[int, np.ndarray]:
     """Left (row) eigenvectors for labels {9, 10, 15, 16}, bilinear pairing.
 
-    w15 and w16 are fully closed-form.  w9 and w10 have closed components on
-    the coherence pair they pair with; their two remaining components are
-    completed numerically from the left eigenproblem restricted to the
-    4-dimensional invariant subspace that feeds the pair.  Normalization:
+    w15 and w16 are fully closed-form.  w9 and w10 are w = (1, f-+) on the
+    pair block, completed on the completion block by one 2x2 solve,
+    w C (mu - D)^{-1} (see `superop.completion_blocks`).  Normalization:
     bilinear contraction with the matching right vector equals one.
     """
     lam, q, eps, Q = _closed_form_inputs(point, tols)
-    if abs(Q / (lam * lam * q * q - 1.0)) < tols.ep_gap:
+    if _coalesced(lam, q, Q, tols):
         raise UnsupportedRegimeError("biorthogonal left vectors do not exist at the EP")
     f_minus, f_plus = _f_pm(lam, q, eps, Q)
 
     out: dict[int, np.ndarray] = {}
     pref = q * (lam * lam - 1.0) / Q
-    out[15] = pref * (_e(14) - f_minus * _e(15))
-    out[16] = -pref * (_e(14) - f_plus * _e(15))
+    out[15] = pref * _on(COMPLETION_INDICES, (1.0, -f_minus))
+    out[16] = -pref * _on(COMPLETION_INDICES, (1.0, -f_plus))
 
-    # w9/w10 live on vectorized indices {5, 9, 14, 15} (1-based); solve the
-    # two unknown components from the restricted left eigenproblem.
-    s = superoperator_at(point, tols)
-    sub = [4, 8, 13, 14]   # 0-based
-    M = s.matrix[np.ix_(sub, sub)]
+    C, D = completion_blocks(superoperator_at(point, tols).matrix, tols)
     mu = analytic_spectrum(point, tols).mu
     for label, fpm in ((9, f_minus), (10, f_plus)):
-        known = np.array([1.0, fpm, 0.0, 0.0], dtype=complex)
-        A = M.T - mu[label - 1] * np.eye(4)
-        sol, *_ = np.linalg.lstsq(A[:, 2:], -A @ known, rcond=None)
-        w = np.zeros(16, dtype=complex)
-        w[sub] = [1.0, fpm, sol[0], sol[1]]
+        pair = np.array([1.0, fpm])
+        rest = np.linalg.solve(mu[label - 1] * np.eye(2) - D.T, C.T @ pair)
+        w = _on(PAIR_INDICES + COMPLETION_INDICES, (*pair, *rest))
         out[label] = w / (1.0 + fpm * fpm / eps)
     return out
 

@@ -64,6 +64,14 @@ def apply_step(g: GateSet, rho: np.ndarray) -> np.ndarray:
     return g.U @ out @ g.U.conj().T
 
 
+def _check_zero(entries: np.ndarray, matrix: np.ndarray, tols: Tolerances, what: str):
+    """Raise SymmetryViolationError if entries the structure forces to zero are not."""
+    leak = np.abs(entries).max()
+    if leak > tols.parity_commutator * max(1.0, np.abs(matrix).max()):
+        raise SymmetryViolationError(f"{what} {leak:.3e} exceeds tolerance "
+                                     f"{tols.parity_commutator:.1e}")
+
+
 def block_reduce(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     """Split a parity-symmetric 16x16 map into its two 8x8 blocks.
 
@@ -72,15 +80,40 @@ def block_reduce(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     commuting with sigma_z).  The commutator's entries are the cross-parity
     entries up to sign, so those are checked directly.
     """
-    scale = max(1.0, np.abs(matrix).max())
-    comm = max(np.abs(matrix[np.ix_(EVEN_INDICES, ODD_INDICES)]).max(),
-               np.abs(matrix[np.ix_(ODD_INDICES, EVEN_INDICES)]).max())
-    if comm > tols.parity_commutator * scale:
-        raise SymmetryViolationError(
-            f"parity commutator {comm:.3e} exceeds tolerance {tols.parity_commutator:.1e}"
-        )
+    for rows, cols in ((EVEN_INDICES, ODD_INDICES), (ODD_INDICES, EVEN_INDICES)):
+        _check_zero(matrix[np.ix_(rows, cols)], matrix, tols, "parity commutator")
     return (matrix[np.ix_(EVEN_INDICES, EVEN_INDICES)],
             matrix[np.ix_(ODD_INDICES, ODD_INDICES)])
+
+
+# The pair mu9/mu10 is the spectrum of the map on vec indices {4, 8}: for
+# every regime and theta no other row reads those columns.  Its left
+# eigenvectors reach into {13, 14}, whose rows read only columns 13 and 14.
+PAIR_INDICES = (4, 8)
+COMPLETION_INDICES = (13, 14)
+
+
+def pair_block(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """The invariant 2x2 block T[pair, pair].  Raises SymmetryViolationError
+    if another row reads the pair's columns."""
+    rest = [i for i in range(16) if i not in PAIR_INDICES]
+    _check_zero(matrix[np.ix_(rest, PAIR_INDICES)], matrix, tols, "leak into the pair block")
+    return matrix[np.ix_(PAIR_INDICES, PAIR_INDICES)]
+
+
+def completion_blocks(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
+    """(C, D) = (T[pair, completion], T[completion, completion]).
+
+    A left eigenvector w of the pair block extends to one of the map as
+    (w, w C (mu - D)^{-1}).  Raises SymmetryViolationError if the rows of
+    both pairs read other columns or the completion rows read the pair's.
+    """
+    sub = PAIR_INDICES + COMPLETION_INDICES
+    rest = [i for i in range(16) if i not in sub]
+    for rows, cols in ((sub, rest), (COMPLETION_INDICES, PAIR_INDICES)):
+        _check_zero(matrix[np.ix_(rows, cols)], matrix, tols, "leak out of the completion block")
+    return (matrix[np.ix_(PAIR_INDICES, COMPLETION_INDICES)],
+            matrix[np.ix_(COMPLETION_INDICES, COMPLETION_INDICES)])
 
 
 def embed_blocks(tau_plus: np.ndarray, tau_minus: np.ndarray) -> np.ndarray:

@@ -285,3 +285,36 @@ def test_trotter_rejects_nonpositive_step_count(tmp_path):
         code = run(["trotter", "--gamma", GAMMA_A, f"--n-list={n_list}",
                     "--output", tmp_path / "t.csv"])
         assert code == 2
+
+
+def test_ep_scan_grid_ending_at_half_pi(tmp_path):
+    out = tmp_path / "scan.csv"
+    code = run(["ep-scan", "--gamma-grid", "0.5:1.5707963267948966:3",
+                "--x-grid", "0.2:0.6:3", "--output", out])
+    assert code == 0
+    _, _, rows = read_csv(out)
+    assert len(rows) == 9 and all(r[5] == "true" for r in rows)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ep_scan_non_finite_closed_forms_exit_code(tmp_path):
+    out = tmp_path / "scan.csv"
+    code = run(["ep-scan", "--gamma-grid", "0.5:1:2", "--x-grid", "200:201:2",
+                "--output", out])
+    assert code == 3
+    assert not out.exists() or "nan" not in out.read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--lambda", -1, "--epsilon", 0.3],
+    ["spectrum", "--x", X_A, "--epsilon", 1.5],
+    ["spectrum", "--x", "nan", "--epsilon", 0.3],
+    ["evolve", "--x", X_A, "--epsilon0", 0.3, "--n-max", 5],
+    ["evolve", "--x", X_A, "--epsilon0", 0.3, "--n-max", -3],
+    ["bifurcate", "--lambda", -1, "--sweep-grid", "0.1:0.9:3"],
+    ["bifurcate", "--sweep", "x", "--epsilon", 1.5, "--sweep-grid", "0.1:0.9:3"],
+])
+def test_bad_parameter_values_exit_code(tmp_path, args):
+    out = tmp_path / "out.csv"
+    assert run(args + ["--gamma", GAMMA_A, "--output", out]) == 2
+    assert not out.exists()

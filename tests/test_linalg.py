@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from brickwork_ep import (ParameterPoint, analytic_spectrum, build_gate_set,
-                          devectorize, eig_general, kron, match_spectra,
-                          superoperator_at, vectorize)
+                          devectorize, eig_general, jordan_certificate, kron,
+                          match_spectra, superoperator_at, vectorize)
 from brickwork_ep.gates import SIGMA_Z
 
 from conftest import GAMMA_A, X_A, exact_ep_x, random_density
@@ -124,3 +125,29 @@ def test_match_spectra_dual_route():
     spec = analytic_spectrum(point)
     numeric = np.linalg.eigvals(s.tau_minus)
     assert match_spectra(numeric, spec.odd_block).max_distance < 1e-9
+
+
+def test_jordan_certificate_jordan_block():
+    cert = jordan_certificate(np.array([[0.5, 1.0], [0.0, 0.5]]))
+    assert cert.defective
+    assert cert.gap == 0.0 and cert.min_overlap == 0.0 and cert.nilpotent_ratio == 0.0
+
+
+def test_jordan_certificate_diagonalizable_blocks():
+    cert = jordan_certificate(np.diag([0.3, 0.7]))
+    assert not cert.defective
+    assert abs(cert.gap - 0.4) < 1e-15 and abs(cert.min_overlap - 1.0) < 1e-15
+    assert not jordan_certificate(0.4 * np.eye(2)).defective
+
+
+def test_jordan_certificate_against_eigensolver(rng):
+    block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    cert = jordan_certificate(block)
+    w, vl, vr = la.eig(block, left=True, right=True)
+    vl, vr = vl / np.linalg.norm(vl, axis=0), vr / np.linalg.norm(vr, axis=0)
+    overlap = np.abs(np.sum(vl.conj() * vr, axis=0)).min()
+    nil = block - np.trace(block) / 2 * np.eye(2)
+    assert abs(cert.gap - abs(w[0] - w[1])) < 1e-12
+    assert abs(cert.min_overlap - overlap) < 1e-12
+    assert abs(cert.nilpotent_ratio
+               - np.linalg.norm(nil @ nil) / np.linalg.norm(nil) ** 2) < 1e-12

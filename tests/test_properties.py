@@ -5,10 +5,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brickwork_ep import (DEFAULT_TOLS, ParameterPoint, block_reduce,
-                          choi_min_eigenvalue, critical_epsilon, ep_discriminant,
-                          match_spectra, superoperator_at,
-                          trace_preservation_defect)
+from brickwork_ep import (DEFAULT_TOLS, ParameterPoint, ParameterRegime,
+                          analytic_spectrum, block_reduce, choi_min_eigenvalue,
+                          critical_epsilon, ep_discriminant, match_spectra,
+                          pair_block, superoperator_at, trace_preservation_defect)
 
 thetas = st.floats(0.0, 1.5)
 easy_plane = st.builds(ParameterPoint.easy_plane, x=st.floats(0.05, 1.5),
@@ -28,6 +28,17 @@ def test_spectrum_is_union_of_block_spectra(point):
     tau_plus, tau_minus = block_reduce(matrix)
     union = np.concatenate([np.linalg.eigvals(tau_plus), np.linalg.eigvals(tau_minus)])
     assert match_spectra(np.linalg.eigvals(matrix), union).max_distance < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(points)
+def test_pair_block_holds_mu9_mu10(point):
+    matrix = superoperator_at(point).matrix
+    pair = np.linalg.eigvals(pair_block(matrix))
+    full = np.linalg.eigvals(matrix)
+    assert all(np.abs(full - mu).min() < 1e-10 for mu in pair)
+    if point.superintegrable and point.regime is ParameterRegime.EASY_PLANE:
+        assert match_spectra(pair, analytic_spectrum(point).mu[8:10]).max_distance < 1e-10
 
 
 @settings(max_examples=60, deadline=None)

@@ -123,7 +123,6 @@ def test_ep_scan_finds_reference_point():
     rec = records[0]
     assert abs(rec.point.epsilon - 0.4) < 5e-3
     assert rec.certified
-    assert rec.sector == "odd"
     assert rec.certificate.gap < 1e-6
     assert rec.certificate.min_overlap < 1e-6
 
@@ -140,6 +139,12 @@ def test_ep_scan_sorted_and_certified(rng):
         assert rec.certificate.gap <= 1e-6
         assert rec.certificate.min_overlap < 1e-6
         assert rec.certificate.nilpotent_ratio < 1e-8
+
+
+def test_ep_scan_certifies_gamma_half_pi():
+    # mu9,10 and mu13,14 coincide at gamma = pi/2; the pair block still isolates mu9,10
+    records = ep_scan([np.pi / 2], [0.2, 0.4, 0.6, 1.0])
+    assert len(records) == 4 and all(rec.certified for rec in records)
 
 
 def test_ep_scan_rejects_bad_gamma():

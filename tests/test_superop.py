@@ -7,7 +7,8 @@ from brickwork_ep import (ParameterPoint, SymmetryViolationError,
                           devectorize, embed_blocks, factored_char_poly,
                           match_spectra, parity_projectors, steady_state,
                           superoperator_at, trace_preservation_defect, vectorize)
-from brickwork_ep.superop import EVEN_INDICES, ODD_INDICES
+from brickwork_ep.superop import (COMPLETION_INDICES, EVEN_INDICES, ODD_INDICES,
+                                  PAIR_INDICES, completion_blocks, pair_block)
 
 from conftest import GAMMA_A, X_A, exact_ep_x, random_density, random_easy_plane_point
 
@@ -85,6 +86,20 @@ def test_block_reduce_rejects_broken_symmetry(rng):
     broken[EVEN_INDICES[0], ODD_INDICES[0]] = 0.1
     with pytest.raises(SymmetryViolationError):
         block_reduce(broken)
+
+
+def test_pair_block_rejects_leaks(rng):
+    s = superoperator_at(random_easy_plane_point(rng))
+    pair_block(s.matrix)
+    completion_blocks(s.matrix)
+    broken = s.matrix.copy()
+    broken[0, PAIR_INDICES[1]] = 0.1
+    with pytest.raises(SymmetryViolationError):
+        pair_block(broken)
+    broken = s.matrix.copy()
+    broken[COMPLETION_INDICES[0], 0] = 0.1
+    with pytest.raises(SymmetryViolationError):
+        completion_blocks(broken)
 
 
 def test_char_poly_even_block():
