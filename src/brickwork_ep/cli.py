@@ -268,8 +268,8 @@ def cmd_evolve(args) -> int:
     if args.n_max < 20:
         raise ConfigError(f"--n-max must be at least 20 for the regime tags, got {args.n_max}")
     eps0, delta = args.epsilon0, args.delta
-    if not (0.0 < eps0 - delta and eps0 + delta <= 1.0):
-        raise ConfigError(f"epsilon0 +- delta must stay in (0, 1]: {eps0} +- {delta}")
+    if not (delta >= 0.0 and 0.0 < eps0 - delta and eps0 + delta <= 1.0):
+        raise ConfigError(f"need --delta >= 0 and epsilon0 +- delta in (0, 1]: {eps0} +- {delta}")
     probe = sensitivity_probe(_resolve_point(args, epsilon=eps0), delta, args.n_max,
                               _OBSERVABLES[args.observable](), tols=tols)
 
@@ -296,6 +296,10 @@ def cmd_trotter(args) -> int:
         raise ConfigError(f"--n-list step counts must be positive, got {args.n_list!r}")
     Gamma = float(args.rate if args.rate is not None else 1.0)
     t = float(args.time if args.time is not None else 1.0)
+    if not (np.isfinite([args.gamma, Gamma, t]).all() and abs(np.sin(args.gamma)) > 1e-12
+            and Gamma * t >= 0):
+        raise ConfigError(f"need finite --gamma (not a multiple of pi), --rate and --time with "
+                          f"--rate * --time >= 0, got {args.gamma}, {Gamma}, {t}")
     report = composite_trotter_check(float(args.gamma), Gamma, t, n_list, tols)
     spectral = kraus_lindblad_spectral_map(Gamma, t, max(n_list)) if Gamma * t > 0 else None
 

@@ -12,7 +12,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .gates import (PROJ_UP, ParameterPoint, ParameterRegime, SIGMA_MINUS,
                     SIGMA_PLUS)
 from .linalg import devectorize, eig_general, kron, vectorize
-from .spectrum import analytic_spectrum, critical_epsilon, ep_discriminant
+from .spectrum import analytic_spectrum, critical_epsilon
 from .superop import Superoperator, superoperator_at
 
 
@@ -60,13 +60,12 @@ def _validate_state(rho: np.ndarray, tols: Tolerances):
 def evolve(s: Superoperator, rho0: np.ndarray, n_max: int,
            tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """States rho[0..n_max] under repeated application of the step."""
-    rho0 = _validate_state(rho0, tols)
-    out = np.empty((n_max + 1, 4, 4), dtype=complex)
-    v = vectorize(rho0)
-    for n in range(n_max + 1):
-        out[n] = devectorize(v)
-        v = s.matrix @ v
-    return out
+    T = s.matrix
+    out = np.empty((n_max + 1, 16), dtype=complex)
+    out[0] = vectorize(_validate_state(rho0, tols))
+    for n in range(n_max):
+        out[n + 1] = T @ out[n]
+    return out.reshape(n_max + 1, 4, 4)
 
 
 def evolve_by_powers(s: Superoperator, rho0: np.ndarray, steps,
@@ -90,36 +89,30 @@ class EPRegime(enum.Enum):
     ABOVE_EP = "above"
 
 
-def _discriminant_regime(point: ParameterPoint, tols: Tolerances):
-    """(easy-plane discriminant, regime it places the point in).
+def _discriminant_regime(point: ParameterPoint, tols: Tolerances) -> EPRegime | None:
+    """Regime the easy-plane discriminant places the point in.
 
-    AT_EP within `near_ep_collar` of the critical epsilon.  Both are None
-    outside the theta = 0 easy plane; the regime alone is None where the
-    critical epsilon is undefined.
+    AT_EP within `near_ep_collar` of the critical epsilon; None outside the
+    theta = 0 easy plane and where the critical epsilon is undefined.
     """
     if not _closed_form_point(point):
-        return None, None
-    x, gamma = float(np.real(point.x)), float(np.real(point.gamma))
-    disc = ep_discriminant(x, gamma, point.epsilon)
+        return None
     try:
-        eps_ep = critical_epsilon(x, gamma)
+        eps_ep = critical_epsilon(float(np.real(point.x)), float(np.real(point.gamma)))
     except ValueError:
-        return disc, None
+        return None
     if abs(point.epsilon - eps_ep) < tols.near_ep_collar:
-        return disc, EPRegime.AT_EP
-    return disc, EPRegime.BELOW_EP if point.epsilon < eps_ep else EPRegime.ABOVE_EP
+        return EPRegime.AT_EP
+    return EPRegime.BELOW_EP if point.epsilon < eps_ep else EPRegime.ABOVE_EP
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Observable time series with its rescaled-amplitude diagnostic."""
 
-    n_max: int
     values: np.ndarray            # complex <g[n]>, n = 0..n_max
     rescaled: np.ndarray          # |mu_rescale|^{-n} |values[n]|
-    mu_rescale: complex
     regime: EPRegime | None
-    initial_state: np.ndarray
     expansion_deviation: float | None   # direct vs biorthogonal expansion; None if disabled
 
 
@@ -135,37 +128,31 @@ def observable_series(s: Superoperator, rho0: np.ndarray, g: Observable, n_max: 
                       tols: Tolerances = DEFAULT_TOLS) -> TrajectoryRecord:
     """Time series <g[n]> = Tr(g rho[n]) by direct evolution.
 
-    Away from any defective point the series is recomputed through the
-    biorthogonal eigendecomposition sum_j mu_j^n <w_j|rho0> Tr(g v_j) and the
+    Tr(g rho) = vec(g^T) . vec(rho) in the row-major convention, so the
+    series is one contraction of the evolved vectors.  Away from any
+    defective point it is recomputed through the biorthogonal
+    eigendecomposition sum_j mu_j^n <w_j|rho0> Tr(g v_j) / <w_j|v_j> and the
     maximal deviation (relative to the series maximum) is recorded; on or
     near an EP the expansion is invalid and skipped.
     """
-    rho0 = _validate_state(rho0, tols)
-    states = evolve(s, rho0, n_max, tols)
-    values = np.array([np.trace(g.matrix @ st) for st in states])
+    vecs = evolve(s, rho0, n_max, tols).reshape(n_max + 1, 16)
+    g_vec = vectorize(g.matrix.T)
+    values = vecs @ g_vec
 
-    point = s.point
-    _, disc_regime = _discriminant_regime(point, tols)
     ns = np.arange(n_max + 1)
     expansion_deviation = None
     es = eig_general(s.matrix, tols)
-    if not es.near_defective and disc_regime is not EPRegime.AT_EP:
-        weights = np.empty(16, dtype=complex)
-        for j in range(16):
-            wj = es.left[:, j].conj()
-            overlap = wj @ es.right[:, j]
-            alpha = (wj @ vectorize(rho0)) / overlap
-            weights[j] = alpha * np.trace(g.matrix @ devectorize(es.right[:, j]))
-        series = (es.eigenvalues[None, :] ** ns[:, None]) @ weights
+    if not es.near_defective and _discriminant_regime(s.point, tols) is not EPRegime.AT_EP:
+        w_h = es.left.conj().T
+        alpha = (w_h @ vecs[0]) / np.einsum("ij,ji->i", w_h, es.right)
+        series = (es.eigenvalues[None, :] ** ns[:, None]) @ (alpha * (g_vec @ es.right))
         expansion_deviation = float(np.abs(series - values).max()
                                     / max(np.abs(values).max(), 1e-300))
 
-    mur = _default_rescale(point) if mu_rescale is None else mu_rescale
+    mur = _default_rescale(s.point) if mu_rescale is None else mu_rescale
     rescaled = np.abs(values) / np.abs(mur) ** ns
-    return TrajectoryRecord(
-        n_max=n_max, values=values, rescaled=rescaled, mu_rescale=mur,
-        regime=None, initial_state=rho0, expansion_deviation=expansion_deviation,
-    )
+    return TrajectoryRecord(values=values, rescaled=rescaled, regime=None,
+                            expansion_deviation=expansion_deviation)
 
 
 def jordan_growth(mu0: complex, psi, n_max: int) -> np.ndarray:
@@ -186,12 +173,9 @@ def jordan_growth(mu0: complex, psi, n_max: int) -> np.ndarray:
 @dataclass(frozen=True)
 class RegimeReport:
     regime: EPRegime | None     # None when the evidence is inconclusive
-    data_regime: EPRegime | None
-    discriminant_regime: EPRegime | None
     tail_drift: float
     slope: float
     r_squared: float
-    discriminant: float | None
     reason: str
 
 
@@ -217,7 +201,7 @@ def classify_regime(point: ParameterPoint, record: TrajectoryRecord,
     is cross-checked against the sign of the easy-plane discriminant; a
     mismatch is reported as inconclusive rather than silently resolved.
     """
-    if record.n_max < 20:
+    if len(record.values) < 21:
         raise ValueError("need n_max >= 20 samples for classification")
     drift, slope, r2, mean, tail = _tail_statistics(record.rescaled)
 
@@ -231,7 +215,7 @@ def classify_regime(point: ParameterPoint, record: TrajectoryRecord,
         trend_fraction = abs(slope) * len(tail) / (mean * max(drift, 1e-300))
         data_regime = EPRegime.ABOVE_EP if (drift > tols.tail_drift and trend_fraction < 0.5) else None
 
-    disc, disc_regime = _discriminant_regime(point, tols)
+    disc_regime = _discriminant_regime(point, tols)
 
     if data_regime is None:
         regime, reason = None, "tail statistics fit no regime"
@@ -240,10 +224,8 @@ def classify_regime(point: ParameterPoint, record: TrajectoryRecord,
                                 f"places the point {disc_regime.value}")
     else:
         regime, reason = data_regime, "ok"
-    return RegimeReport(regime=regime, data_regime=data_regime,
-                        discriminant_regime=disc_regime, tail_drift=drift,
-                        slope=slope, r_squared=r2,
-                        discriminant=disc, reason=reason)
+    return RegimeReport(regime=regime, tail_drift=drift, slope=slope, r_squared=r2,
+                        reason=reason)
 
 
 @dataclass(frozen=True)
@@ -253,7 +235,6 @@ class SensitivityProbe:
     center: TrajectoryRecord
     plus: TrajectoryRecord
     minus: TrajectoryRecord
-    reports: tuple[RegimeReport, RegimeReport, RegimeReport]   # center, plus, minus
 
 
 def sensitivity_probe(point: ParameterPoint, delta: float, n_max: int = 200,
@@ -272,12 +253,8 @@ def sensitivity_probe(point: ParameterPoint, delta: float, n_max: int = 200,
     rho0 = reference_initial_state() if rho0 is None else rho0
 
     records = []
-    reports = []
     for eps in (eps0, eps0 + delta, eps0 - delta):
         p = replace(point, epsilon=eps)
         rec = observable_series(superoperator_at(p, tols), rho0, g, n_max, tols=tols)
-        rep = classify_regime(p, rec, tols)
-        records.append(replace(rec, regime=rep.regime))
-        reports.append(rep)
-    return SensitivityProbe(center=records[0], plus=records[1], minus=records[2],
-                            reports=tuple(reports))
+        records.append(replace(rec, regime=classify_regime(p, rec, tols).regime))
+    return SensitivityProbe(center=records[0], plus=records[1], minus=records[2])

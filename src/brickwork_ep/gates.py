@@ -58,7 +58,10 @@ class ParameterPoint:
             raise ValueError("non-finite parameter")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        lam, q = self.lam, self.q
+        with np.errstate(all="ignore"):
+            lam, q = self.lam, self.q
+            if not np.isfinite([lam, 1 / lam, q, 1 / q]).all():
+                raise ValueError("lambda = e^x, q = e^(i gamma) and their inverses must be finite")
         if self.regime is ParameterRegime.EASY_PLANE:
             if abs(np.imag(self.x)) > 1e-12 or abs(np.imag(self.gamma)) > 1e-12:
                 raise ValueError("easy-plane regime requires real x and gamma")

@@ -67,7 +67,8 @@ def analytic_spectrum(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) ->
 
     mu1 = 1, mu2 = eps^2, mu3..mu6 = eps; the remaining ten come in
     square-root pairs built from Q, with mu11,12 = eps*mu9,10 and
-    mu15,16 = eps*mu13,14.
+    mu15,16 = eps*mu13,14.  Raises `FloatingPointError` where the closed
+    forms overflow (from |x| ~ 178 on, through lam^4 in Q).
     """
     lam, q, eps, Q = _closed_form_inputs(point, tols)
     f = pair_sum_coeff(q, eps)
@@ -88,6 +89,8 @@ def analytic_spectrum(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) ->
     mu[13] = (f * lam + Q) / (2.0 * dp)
     mu[14] = eps * mu[12]
     mu[15] = eps * mu[13]
+    if not np.isfinite(mu).all():
+        raise FloatingPointError(f"closed forms overflow at x = {point.x}, gamma = {point.gamma}")
 
     A = None
     if point.regime is ParameterRegime.EASY_PLANE:
@@ -137,8 +140,6 @@ def certify_ep(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) -> EPReco
     defective pair block."""
     spec = analytic_spectrum(point, tols)
     mu0 = (spec.mu[8] + spec.mu[9]) / 2.0
-    if not np.isfinite(mu0):
-        raise FloatingPointError(f"closed forms overflow at x = {point.x}, gamma = {point.gamma}")
     cert = jordan_certificate(pair_block(superoperator_at(point, tols).matrix, tols), tols)
     a_res = abs(spec.A) if spec.A is not None else np.inf
     certified = bool(a_res <= tols.ep_discriminant
@@ -151,9 +152,10 @@ def certify_ep(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) -> EPReco
 def ep_scan(gamma_grid, x_grid, tols: Tolerances = DEFAULT_TOLS) -> list[EPRecord]:
     """Locate the EP surface over a (gamma, x) grid in the easy plane.
 
-    One record per grid point whose critical epsilon lies in (0, 1];
-    output is sorted by (gamma, x).  Grid columns at multiples of pi are
-    rejected up front.
+    One record per grid point, sorted by (gamma, x); nothing is skipped.
+    Grid columns at multiples of pi are rejected up front; a point whose
+    critical epsilon underflows to 0 (|x| >~ 355) raises `ValueError`, one
+    whose closed forms overflow (|x| >~ 178) `FloatingPointError`.
     """
     gamma_grid = np.atleast_1d(np.asarray(gamma_grid, dtype=float))
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))

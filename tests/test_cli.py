@@ -318,3 +318,46 @@ def test_bad_parameter_values_exit_code(tmp_path, args):
     out = tmp_path / "out.csv"
     assert run(args + ["--gamma", GAMMA_A, "--output", out]) == 2
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_spectrum_non_finite_closed_forms_exit_code(tmp_path):
+    out = tmp_path / "spec.csv"
+    code = run(["spectrum", "--gamma", 0.7, "--x", 200, "--epsilon", 0.5, "--output", out])
+    assert code == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x", [800, -800])
+def test_spectrum_overflowing_lambda_exit_code(tmp_path, x):
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", "--gamma", 0.7, f"--x={x}", "--epsilon", 0.5, "--output", out]) == 2
+    assert not out.exists()
+
+
+def test_bifurcate_skips_overflowing_lambda(tmp_path):
+    out = tmp_path / "bif.csv"
+    code = run(["bifurcate", "--gamma", 0.7, "--epsilon", 0.5, "--sweep", "x",
+                "--sweep-grid", "0.5:800:2", "--output", out])
+    assert code == 0
+    meta, _, rows = read_csv(out)
+    assert meta["skipped"] == "1"
+    assert len(rows) == 16
+
+
+@pytest.mark.parametrize("args", [
+    ["--gamma", 0], ["--gamma", "nan"], ["--gamma", GAMMA_A, "--rate", -1],
+    ["--gamma", GAMMA_A, "--time", -1],
+])
+def test_trotter_bad_input_exit_code(tmp_path, args):
+    out = tmp_path / "t.csv"
+    assert run(["trotter", *args, "--output", out]) == 2
+    assert not out.exists()
+
+
+def test_evolve_negative_delta_exit_code(tmp_path):
+    out = tmp_path / "ev.csv"
+    code = run(["evolve", "--gamma", GAMMA_A, "--x", X_A, "--epsilon0", 0.3,
+                "--delta=-0.01", "--output", out])
+    assert code == 2
+    assert not out.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from brickwork_ep import (EPRegime, ParameterPoint, analytic_spectrum,
+from brickwork_ep import (EPRegime, Observable, ParameterPoint, analytic_spectrum,
                           classify_regime, coherence_probe,
                           coherence_probe_adjoint, evolve, evolve_by_powers,
                           identity_observable, jordan_growth, observable_series,
@@ -204,3 +204,10 @@ def test_sensitivity_probe_range_check():
     point = ParameterPoint.easy_plane(X_STAR, GAMMA_A, 0.995)
     with pytest.raises(ValueError):
         sensitivity_probe(point, 0.01)
+
+
+def test_expansion_matches_series_for_dense_observable(rng):
+    s = superoperator_at(ParameterPoint.easy_plane(X_A, GAMMA_A, 0.32))
+    g = Observable("dense", rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rec = observable_series(s, random_density(rng), g, 200)
+    assert rec.expansion_deviation is not None and rec.expansion_deviation < 1e-8

@@ -5,10 +5,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brickwork_ep import (DEFAULT_TOLS, ParameterPoint, ParameterRegime,
+from brickwork_ep import (DEFAULT_TOLS, Observable, ParameterPoint, ParameterRegime,
                           analytic_spectrum, block_reduce, choi_min_eigenvalue,
-                          critical_epsilon, ep_discriminant, match_spectra,
-                          pair_block, superoperator_at, trace_preservation_defect)
+                          critical_epsilon, ep_discriminant, evolve, match_spectra,
+                          observable_series, pair_block, superoperator_at,
+                          trace_preservation_defect)
 
 thetas = st.floats(0.0, 1.5)
 easy_plane = st.builds(ParameterPoint.easy_plane, x=st.floats(0.05, 1.5),
@@ -57,3 +58,16 @@ def test_discriminant_sign_against_critical_epsilon(x, gamma, epsilon):
     # below its terms' rounding floor the discriminant's sign is noise
     assume(abs(disc) > 1e-13 * max(1.0, 8.0 * epsilon * np.cosh(2.0 * x)))
     assert (disc < 0) == (epsilon < critical_epsilon(x, gamma))
+
+
+@settings(max_examples=60, deadline=None)
+@given(points, st.integers(0, 2**32 - 1))
+def test_series_is_trace_against_evolved_states(point, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho0 = a @ a.conj().T / np.trace(a @ a.conj().T)
+    s = superoperator_at(point)
+    rec = observable_series(s, rho0, Observable("dense", g), 30, mu_rescale=1.0)
+    direct = np.array([np.trace(g @ st) for st in evolve(s, rho0, 30)])
+    assert np.abs(rec.values - direct).max() <= 1e-12 * np.abs(direct).max()
