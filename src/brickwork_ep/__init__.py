@@ -20,20 +20,19 @@ from .dynamics import (EPRegime, Observable, RegimeReport, SensitivityProbe,
                        identity_observable, jordan_growth, observable_series,
                        reference_initial_state, sensitivity_probe)
 from .gates import (GateSet, ParameterPoint, ParameterRegime, SingularGateError,
-                    build_gate_set, coupling_gate, local_phase_gate,
-                    relaxation_channel_spectrum, relaxation_kraus,
-                    relaxation_steps)
+                    build_gate_set, coupling_gate, gate_stack, local_phase_gate,
+                    relaxation_channel_spectrum, relaxation_kraus, relaxation_steps)
 from .linalg import (EigenDecompositionError, EigenSystem, JordanCertificate,
                      SpectraMatch, devectorize, eig_general, jordan_certificate,
                      kron, match_spectra, vectorize)
-from .spectrum import (AnalyticSpectrum, ClosedFormVectors, EPRecord,
+from .spectrum import (AnalyticSpectrum, ClosedFormVectors, EPRecord, EPScan,
                        SensingCoefficients, analytic_spectrum, certify_ep,
                        closed_form_left_vectors, closed_form_right_vectors,
                        critical_epsilon, ep_discriminant, ep_scan,
                        sensing_coefficients)
 from .superop import (CharFactorReport, EVEN_INDICES, ODD_INDICES, Superoperator,
                       SymmetryViolationError, UnsupportedRegimeError, apply_step,
-                      block_reduce, build_superoperator, choi_matrix,
+                      assemble, block_reduce, build_superoperator, choi_matrix,
                       choi_min_eigenvalue, embed_blocks, factored_char_poly,
                       pair_block, parity_projectors, steady_state, superoperator_at,
                       trace_preservation_defect)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_TOLS, override_tolerances
-from .continuum import composite_trotter_check, kraus_lindblad_spectral_map
+from .continuum import composite_trotter_check, kraus_lindblad_spectral_map, trotter_lambda
 from .dynamics import (coherence_probe, coherence_probe_adjoint,
                        identity_observable, sensitivity_probe)
 from .gates import ParameterPoint, SingularGateError
@@ -214,14 +215,11 @@ def cmd_ep_scan(args) -> int:
     gammas = _parse_grid(args.gamma_grid)
     xs = _parse_grid(args.x_grid)
     try:
-        records = ep_scan(gammas, xs, tols)
+        scan = ep_scan(gammas, xs, tols)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = []
-    for rec in records:
-        rows.append((np.real(rec.point.gamma), np.real(rec.point.x),
-                     rec.point.epsilon, rec.mu0.real, rec.mu0.imag,
-                     rec.certified))
+    rows = list(zip(scan.gamma.tolist(), scan.x.tolist(), scan.epsilon.tolist(),
+                    scan.mu0.real.tolist(), scan.mu0.imag.tolist(), scan.certified.tolist()))
     meta = _base_metadata(args)
     meta["regime"] = "easy-plane"
     meta["records"] = len(rows)
@@ -300,6 +298,10 @@ def cmd_trotter(args) -> int:
             and Gamma * t >= 0):
         raise ConfigError(f"need finite --gamma (not a multiple of pi), --rate and --time with "
                           f"--rate * --time >= 0, got {args.gamma}, {Gamma}, {t}")
+    lam_n = trotter_lambda(args.gamma, t, min(n_list))
+    if not lam_n > 0:
+        raise ConfigError(f"need lambda_n = 1 + 2 sin(gamma) t/n > 0 for every n, got {lam_n} "
+                          f"at n = {min(n_list)}")
     report = composite_trotter_check(float(args.gamma), Gamma, t, n_list, tols)
     spectral = kraus_lindblad_spectral_map(Gamma, t, max(n_list)) if Gamma * t > 0 else None
 
@@ -338,7 +340,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tol-overrides", default=None, help="comma list name=value")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="brickwork-ep",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)

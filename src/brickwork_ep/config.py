@@ -6,6 +6,8 @@ the CLI agree on one set of defaults and can override them in one place.
 
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -50,3 +52,9 @@ def override_tolerances(base: Tolerances, **overrides: float) -> Tolerances:
     if unknown:
         raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
     return replace(base, **overrides)
+
+
+def raise_first(failed, error):
+    """Raise error(i) for the first point i of a stacked check where `failed` holds."""
+    if np.count_nonzero(failed):
+        raise error(int(np.argmax(failed)))

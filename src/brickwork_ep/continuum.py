@@ -141,6 +141,11 @@ class TrotterReport:
     halving_ok: bool
 
 
+def trotter_lambda(gamma: float, t: float, n: int) -> float:
+    """Spectral parameter of one of n steps over time t, 1 + 2 sin(gamma) t/n."""
+    return 1.0 + 2.0 * np.sin(gamma) * t / n
+
+
 def composite_trotter_check(gamma: float, Gamma: float, t: float, n_list,
                             tols: Tolerances = DEFAULT_TOLS) -> TrotterReport:
     """n brickwork steps against the dense exponential of the generator.
@@ -157,7 +162,7 @@ def composite_trotter_check(gamma: float, Gamma: float, t: float, n_list,
 
     rows = []
     for n in sorted(int(n) for n in n_list):
-        lam_n = 1.0 + 2.0 * np.sin(gamma) * t / n
+        lam_n = trotter_lambda(gamma, t, n)
         eps_n = float(np.exp(-Gamma * t / n)) if Gamma * t != 0 else 1.0
         point = ParameterPoint.easy_plane(np.log(lam_n), gamma, eps_n)
         step = superoperator_at(point, tols).matrix

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, Tolerances, raise_first
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -29,6 +29,23 @@ SIGMA_ZZ = np.kron(SIGMA_Z, SIGMA_Z)
 
 class SingularGateError(ValueError):
     """Gate parameters sit on (or too close to) a vanishing denominator."""
+
+
+def check_parameters(x, gamma, epsilon, theta):
+    """Checks of a point, or of each point of a stack (arrays over one axis):
+    x, gamma, epsilon and theta finite, epsilon in (0, 1], and lambda = e^x,
+    q = e^(i gamma) and their inverses finite.  Returns (lambda, q)."""
+    x, gamma, epsilon, theta = (np.array(v, copy=None, ndmin=1) for v in (x, gamma, epsilon, theta))
+    raise_first(~(np.isfinite(x) & np.isfinite(gamma) & np.isfinite(epsilon) & np.isfinite(theta)),
+                lambda i: ValueError("non-finite parameter"))
+    raise_first(~((0.0 < epsilon) & (epsilon <= 1.0)),
+                lambda i: ValueError(f"epsilon must lie in (0, 1], got {epsilon[i]}"))
+    with np.errstate(all="ignore"):
+        lam, q = np.exp(x), np.exp(1j * gamma)
+        finite = np.isfinite(lam) & np.isfinite(1 / lam) & np.isfinite(q) & np.isfinite(1 / q)
+    raise_first(~finite, lambda i: ValueError(
+        "lambda = e^x, q = e^(i gamma) and their inverses must be finite"))
+    return lam, q
 
 
 class ParameterRegime(enum.Enum):
@@ -53,20 +70,12 @@ class ParameterPoint:
     regime: ParameterRegime = ParameterRegime.EASY_PLANE
 
     def __post_init__(self):
-        vals = [self.x, self.gamma, self.epsilon, self.theta]
-        if not all(np.isfinite([np.real(v) for v in vals] + [np.imag(v) for v in vals])):
-            raise ValueError("non-finite parameter")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        with np.errstate(all="ignore"):
-            lam, q = self.lam, self.q
-            if not np.isfinite([lam, 1 / lam, q, 1 / q]).all():
-                raise ValueError("lambda = e^x, q = e^(i gamma) and their inverses must be finite")
+        lam, q = check_parameters(self.x, self.gamma, self.epsilon, self.theta)
         if self.regime is ParameterRegime.EASY_PLANE:
             if abs(np.imag(self.x)) > 1e-12 or abs(np.imag(self.gamma)) > 1e-12:
                 raise ValueError("easy-plane regime requires real x and gamma")
         elif self.regime is ParameterRegime.EASY_AXIS:
-            if abs(np.imag(q)) > 1e-12 * abs(q) or abs(abs(lam) - 1.0) > 1e-12:
+            if abs(np.imag(q[0])) > 1e-12 * abs(q[0]) or abs(abs(lam[0]) - 1.0) > 1e-12:
                 raise ValueError("easy-axis regime requires real q and |lambda| = 1")
 
     @property
@@ -107,49 +116,37 @@ class GateSet:
     K1: np.ndarray
     K2: np.ndarray
     V: np.ndarray
-    a: complex
-    b: complex
     point: ParameterPoint
     unitary: bool   # U passed the unitarity check (guaranteed CPTP step)
 
 
-def check_denominators(lam: complex, q: complex, tols: Tolerances):
-    """Reject parameters where q^2 lam^2 = 1 or q^2 = lam^2: those denominators
-    appear in the gate and throughout the parity-block spectra."""
-    if abs(q * q * lam * lam - 1.0) < tols.singular_gate or abs(q * q - lam * lam) < tols.singular_gate:
-        raise SingularGateError(
-            f"singular gate parameters: |q^2 lam^2 - 1| = {abs(q*q*lam*lam-1.0):.2e}, "
-            f"|q^2 - lam^2| = {abs(q*q-lam*lam):.2e}"
-        )
+def check_denominators(lam, q, tols: Tolerances):
+    """Reject points where q^2 lam^2 = 1 or q^2 = lam^2: those denominators
+    appear in the gate and throughout the parity-block spectra.  Where
+    |lam| > 1 both are tested through r = 1/lam, as |q^2 lam^2 - 1| =
+    |lam|^2 |q^2 - r^2| and |q^2 - lam^2| = |lam|^2 |q^2 r^2 - 1|, so that
+    lam^2 is never formed."""
+    lam, q = np.array(lam, copy=None, ndmin=1), np.array(q, copy=None, ndmin=1)
+    big = np.abs(lam) > 1.0
+    r = np.where(big, 1.0 / lam, lam)
+    scale = np.where(big, np.abs(r) ** 2, 1.0)   # 1/|lam|^2, or 1
+    near = np.minimum(np.abs(q * q * r * r - 1.0), np.abs(q * q - r * r))   # times scale
+    raise_first(near < tols.singular_gate * scale, lambda i: SingularGateError(
+        f"singular gate parameters: min(|q^2 lam^2 - 1|, |q^2 - lam^2|) = "
+        f"{near[i] / scale[i]:.2e}"))
 
 
-def coupling_gate(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS):
-    """The 4x4 two-qubit gate with unit corners and a symmetric centre block.
-
-    a = (q - 1/q) / (q lam - 1/(q lam)),  b = (lam - 1/lam) / (q lam - 1/(q lam)).
-    Singular parameters are rejected by `check_denominators`.
-    """
-    lam, q = point.lam, point.q
-    check_denominators(lam, q, tols)
-    den = q * lam - 1.0 / (q * lam)
-    a = (q - 1.0 / q) / den
-    b = (lam - 1.0 / lam) / den
-    U = np.array([
-        [1, 0, 0, 0],
-        [0, a, b, 0],
-        [0, b, a, 0],
-        [0, 0, 0, 1],
-    ], dtype=complex)
-    return U, a, b
-
-
-def relaxation_kraus(epsilon: float):
-    """Kraus pair of the single-qubit relaxation channel toward |up><up|."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    K1 = np.sqrt(1.0 - epsilon**2) * SIGMA_PLUS
-    K2 = np.array([[1.0, 0.0], [0.0, epsilon]], dtype=complex)
-    return K1, K2
+def relaxation_kraus(epsilon) -> np.ndarray:
+    """Kraus pair (K1, K2) of the single-qubit relaxation channel toward
+    |up><up|, as one array (2, ..., 2, 2) over the shape of epsilon."""
+    eps = np.asarray(epsilon, dtype=float)
+    raise_first(~((0.0 < eps) & (eps <= 1.0)),
+                lambda i: ValueError(f"epsilon must lie in (0, 1], got {eps.flat[i]}"))
+    K = np.zeros((2,) + eps.shape + (2, 2), dtype=complex)
+    K[0, ..., 0, 1] = np.sqrt(1.0 - eps**2)
+    K[1, ..., 0, 0] = 1.0
+    K[1, ..., 1, 1] = eps
+    return K
 
 
 def apply_relaxation(epsilon: float, rho: np.ndarray) -> np.ndarray:
@@ -185,27 +182,61 @@ def relaxation_steps(epsilon: float) -> float:
     return -2.0 / np.log(epsilon)
 
 
-def local_phase_gate(theta: float) -> np.ndarray:
-    """diag(e^{i theta}, e^{-i theta}); the identity at theta = 0."""
-    return np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
+def local_phase_gate(theta) -> np.ndarray:
+    """diag(e^{i theta}, e^{-i theta}); a stack (..., 2, 2) for an array of theta."""
+    theta = np.asarray(theta)
+    V = np.zeros(theta.shape + (2, 2), dtype=complex)
+    V[..., 0, 0] = np.exp(1j * theta)
+    V[..., 1, 1] = np.exp(-1j * theta)
+    return V
+
+
+def _unitarity_defect(m: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    return np.abs(m.conj().swapaxes(-1, -2) @ m - eye).max(axis=(-2, -1))
+
+
+def gate_stack(x, gamma, epsilon, theta, tols: Tolerances = DEFAULT_TOLS,
+               regime: ParameterRegime = ParameterRegime.EASY_PLANE):
+    """Gates of one brickwork step, or of each step of a stack (arrays over
+    one axis of N points): the coupling gates U (N, 4, 4), the Kraus pairs
+    K (N, 2, 2, 2), the phase gates V (N, 2, 2) and whether each U passed
+    the unitarity check, which outside the general regime it must.
+
+    U has unit corners and the centre block [[a, b], [b, a]], with
+    a = (q - 1/q) / (q lam - 1/(q lam)) and b = (lam - 1/lam) / (q lam - 1/(q lam)).
+    """
+    lam, q = check_parameters(x, gamma, epsilon, theta)
+    check_denominators(lam, q, tols)
+    den = q * lam - 1.0 / (q * lam)
+    U = np.zeros(den.shape + (4, 4), dtype=complex)
+    U[:, 0, 0] = U[:, 3, 3] = 1.0
+    U[:, 1, 1] = U[:, 2, 2] = (q - 1.0 / q) / den
+    U[:, 1, 2] = U[:, 2, 1] = (lam - 1.0 / lam) / den
+    K = relaxation_kraus(np.array(epsilon, copy=None, ndmin=1)).swapaxes(0, 1)
+    V = local_phase_gate(np.array(theta, copy=None, ndmin=1))
+
+    completeness = np.abs(np.einsum("nmji,nmjk->nik", K.conj(), K) - I2).max(axis=(1, 2))
+    raise_first(completeness > tols.kraus_completeness,
+                lambda i: AssertionError(f"Kraus completeness defect {completeness[i]:.2e}"))
+    raise_first(_unitarity_defect(V, I2) > tols.local_unitarity,
+                lambda i: AssertionError("local phase gate failed unitarity"))
+    defect = _unitarity_defect(U, I4)
+    unitary = defect <= tols.gate_unitarity
+    if regime is not ParameterRegime.GENERAL:
+        raise_first(~unitary, lambda i: AssertionError(
+            f"gate unitarity defect {defect[i]:.2e} in regime {regime.value}"))
+    return U, K, V, unitary
 
 
 def build_gate_set(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) -> GateSet:
-    """Construct and validate all gates of one brickwork step."""
-    U, a, b = coupling_gate(point, tols)
-    K1, K2 = relaxation_kraus(point.epsilon)
-    V = local_phase_gate(point.theta)
+    """Construct and validate all gates of one brickwork step: `gate_stack`, N = 1."""
+    U, K, V, unitary = gate_stack(point.x, point.gamma, point.epsilon, point.theta, tols,
+                                  point.regime)
+    return GateSet(U=U[0], K1=K[0, 0], K2=K[0, 1], V=V[0], point=point,
+                   unitary=bool(unitary[0]))
 
-    completeness = np.abs(K1.conj().T @ K1 + K2.conj().T @ K2 - I2).max()
-    if completeness > tols.kraus_completeness:
-        raise AssertionError(f"Kraus completeness defect {completeness:.2e}")
-    if np.abs(V.conj().T @ V - I2).max() > tols.local_unitarity:
-        raise AssertionError("local phase gate failed unitarity")
 
-    unitarity_defect = np.abs(U.conj().T @ U - I4).max()
-    unitary = bool(unitarity_defect <= tols.gate_unitarity)
-    if point.regime is not ParameterRegime.GENERAL and not unitary:
-        raise AssertionError(
-            f"gate unitarity defect {unitarity_defect:.2e} in regime {point.regime.value}"
-        )
-    return GateSet(U=U, K1=K1, K2=K2, V=V, a=a, b=b, point=point, unitary=unitary)
+def coupling_gate(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS):
+    """The coupling gate U of `gate_stack` at one point, with a = U[1, 1], b = U[1, 2]."""
+    U = build_gate_set(point, tols).U
+    return U, U[1, 1], U[1, 2]

@@ -156,7 +156,8 @@ def match_spectra(numeric, analytic) -> SpectraMatch:
 
 @dataclass(frozen=True)
 class JordanCertificate:
-    """Numerical evidence that a 2x2 block is a Jordan block."""
+    """Numerical evidence that a 2x2 block is a Jordan block; for a stack of
+    blocks each field is an array over the stack."""
 
     gap: float              # |mu_1 - mu_2| of the block's two eigenvalues
     min_overlap: float      # smaller unit-norm |<w|v>| of the pair
@@ -164,25 +165,40 @@ class JordanCertificate:
     defective: bool
 
 
+def _longer(p, r):
+    """Per block, the longer of the 2-vectors p and r (p on a tie), with its norm."""
+    np_, nr = (np.sqrt(abs(u[0]) ** 2 + abs(u[1]) ** 2) for u in (p, r))
+    keep = np_ >= nr
+    return np.where(keep, p[0], r[0]), np.where(keep, p[1], r[1]), np.where(keep, np_, nr)
+
+
 def jordan_certificate(block, tols: Tolerances = DEFAULT_TOLS) -> JordanCertificate:
-    """Certify the Jordan structure of an invariant 2x2 block [[a, b], [c, d]].
+    """Certify the Jordan structure of an invariant 2x2 block [[a, b], [c, d]],
+    or of each block of a (..., 2, 2) stack.
 
     With s = sqrt((a - d)^2 + 4bc) the eigenvalues are (a + d -+ s)/2, the
     right eigenvectors (b, mu - a) or, if longer, (mu - d, c), and the left
     (row) eigenvectors (c, mu - a) or (mu - d, b).  The traceless part N
-    satisfies N^2 = (s^2/4) I.
+    satisfies N^2 = (s^2/4) I.  A multiple of the identity (N = 0) is not
+    defective: every vector is an eigenvector.  One block gives Python
+    scalars.
     """
-    (a, b), (c, d) = _as_complex(block)
+    block = _as_complex(block)
+    a, b, c, d = block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1]
     nn2 = abs(a - d) ** 2 / 2 + abs(b) ** 2 + abs(c) ** 2   # ||N||^2
-    if nn2 == 0:   # a multiple of the identity: every vector is an eigenvector
-        return JordanCertificate(gap=0.0, min_overlap=1.0, nilpotent_ratio=0.0, defective=False)
     s = np.sqrt((a - d) ** 2 + 4.0 * b * c)
     overlaps = []
-    for mu in ((a + d - s) / 2, (a + d + s) / 2):
-        v = max((np.array([b, mu - a]), np.array([mu - d, c])), key=np.linalg.norm)
-        w = max((np.array([c, mu - a]), np.array([mu - d, b])), key=np.linalg.norm)
-        overlaps.append(abs(w @ v) / (np.linalg.norm(w) * np.linalg.norm(v)))
-    min_overlap = float(min(overlaps))
-    return JordanCertificate(gap=float(abs(s)), min_overlap=min_overlap,
-                             nilpotent_ratio=float(np.sqrt(2.0) * abs(s) ** 2 / 4 / nn2),
-                             defective=bool(min_overlap < tols.defect_overlap))
+    with np.errstate(invalid="ignore", divide="ignore"):   # 0/0 where N = 0, replaced below
+        for mu in ((a + d - s) / 2, (a + d + s) / 2):
+            v0, v1, nv = _longer((b, mu - a), (mu - d, c))
+            w0, w1, nw = _longer((c, mu - a), (mu - d, b))
+            overlaps.append(abs(w0 * v0 + w1 * v1) / (nw * nv))
+        ratio = np.sqrt(2.0) * abs(s) ** 2 / 4 / nn2
+    identity = nn2 == 0
+    min_overlap = np.where(identity, 1.0, np.minimum(*overlaps))
+    cert = JordanCertificate(gap=abs(s), min_overlap=min_overlap,
+                             nilpotent_ratio=np.where(identity, 0.0, ratio),
+                             defective=min_overlap < tols.defect_overlap)
+    if block.ndim > 2:
+        return cert
+    return JordanCertificate(**{k: v.item() for k, v in vars(cert).items()})

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
-from .gates import ParameterPoint, ParameterRegime, check_denominators
+from .config import DEFAULT_TOLS, Tolerances, raise_first
+from .gates import (ParameterPoint, ParameterRegime, check_denominators, check_parameters,
+                    gate_stack)
 from .linalg import JordanCertificate, jordan_certificate
-from .superop import (COMPLETION_INDICES, PAIR_INDICES, UnsupportedRegimeError,
-                      completion_blocks, pair_block, pair_splitting_sqrt,
+from .superop import (COMPLETION_INDICES, PAIR_INDICES, UnsupportedRegimeError, assemble,
+                      block_reduce, completion_blocks, pair_block, pair_splitting_sqrt,
                       pair_sum_coeff, superoperator_at)
 
 
@@ -62,40 +63,51 @@ class AnalyticSpectrum:
         return self.mu[8:]
 
 
+def _closed_forms(x, gamma, eps, tols: Tolerances):
+    """(mu, Q) of each point of a theta = 0 stack: the sixteen closed-form
+    eigenvalues (N, 16) and the splitting quantity Q.  Raises
+    `SingularGateError`, or `FloatingPointError` where the closed forms
+    overflow (from |x| ~ 178 on, through lam^4 in Q)."""
+    x, gamma, eps = (np.array(v, copy=None, ndmin=1) for v in (x, gamma, eps))
+    lam, q = np.exp(x), np.exp(1j * gamma)
+    check_denominators(lam, q, tols)
+    Q = pair_splitting_sqrt(lam, q, eps)
+    fl = pair_sum_coeff(q, eps) * lam
+    dm = lam * lam * q * q - 1.0
+    dp = q * q - lam * lam
+
+    mu = np.empty(Q.shape + (16,), dtype=complex)
+    mu[:, 0] = 1.0
+    mu[:, 1] = eps**2
+    mu[:, 2:6] = eps[:, None]
+    mu[:, 6] = (Q - fl) ** 2 / (4.0 * dp * dm)
+    mu[:, 7] = (Q + fl) ** 2 / (4.0 * dp * dm)
+    mu[:, 8] = (fl - Q) / (2.0 * dm)
+    mu[:, 9] = (fl + Q) / (2.0 * dm)
+    mu[:, 12] = (fl - Q) / (2.0 * dp)
+    mu[:, 13] = (fl + Q) / (2.0 * dp)
+    mu[:, 10:12] = eps[:, None] * mu[:, 8:10]
+    mu[:, 14:16] = eps[:, None] * mu[:, 12:14]
+    raise_first(~np.isfinite(mu).all(axis=1), lambda i: FloatingPointError(
+        f"closed forms overflow at x = {x[i]}, gamma = {gamma[i]}"))
+    return mu, Q
+
+
 def analytic_spectrum(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) -> AnalyticSpectrum:
     """The sixteen closed-form eigenvalues of the theta = 0 step.
 
     mu1 = 1, mu2 = eps^2, mu3..mu6 = eps; the remaining ten come in
     square-root pairs built from Q, with mu11,12 = eps*mu9,10 and
-    mu15,16 = eps*mu13,14.  Raises `FloatingPointError` where the closed
-    forms overflow (from |x| ~ 178 on, through lam^4 in Q).
+    mu15,16 = eps*mu13,14 (`_closed_forms`, N = 1).
     """
-    lam, q, eps, Q = _closed_form_inputs(point, tols)
-    f = pair_sum_coeff(q, eps)
-    dm = lam * lam * q * q - 1.0
-    dp = q * q - lam * lam
-
-    mu = np.empty(16, dtype=complex)
-    mu[0] = 1.0
-    mu[1] = eps**2
-    mu[2:6] = eps
-    mu[6] = (Q - f * lam) ** 2 / (4.0 * dp * dm)
-    mu[7] = (Q + f * lam) ** 2 / (4.0 * dp * dm)
-    mu[8] = (f * lam - Q) / (2.0 * dm)
-    mu[9] = (f * lam + Q) / (2.0 * dm)
-    mu[10] = eps * mu[8]
-    mu[11] = eps * mu[9]
-    mu[12] = (f * lam - Q) / (2.0 * dp)
-    mu[13] = (f * lam + Q) / (2.0 * dp)
-    mu[14] = eps * mu[12]
-    mu[15] = eps * mu[13]
-    if not np.isfinite(mu).all():
-        raise FloatingPointError(f"closed forms overflow at x = {point.x}, gamma = {point.gamma}")
-
+    if not point.superintegrable:
+        raise UnsupportedRegimeError("closed forms require theta = 0")
+    mu, Q = _closed_forms(point.x, point.gamma, point.epsilon, tols)
     A = None
     if point.regime is ParameterRegime.EASY_PLANE:
-        A = ep_discriminant(float(np.real(point.x)), float(np.real(point.gamma)), eps)
-    return AnalyticSpectrum(mu=mu, Q=Q, f=f, A=A, point=point)
+        A = ep_discriminant(float(np.real(point.x)), float(np.real(point.gamma)), point.epsilon)
+    return AnalyticSpectrum(mu=mu[0], Q=Q[0], f=pair_sum_coeff(point.q, point.epsilon), A=A,
+                            point=point)
 
 
 def ep_discriminant(x: float, gamma: float, epsilon: float) -> float:
@@ -109,19 +121,29 @@ def ep_discriminant(x: float, gamma: float, epsilon: float) -> float:
                   - (epsilon + 1.0) ** 2)
 
 
-def critical_epsilon(x: float, gamma: float) -> float:
+def _square(v) -> np.ndarray:
+    """v**2 by libm's pow, as numpy squares a scalar; its array square
+    differs in the last bit for ~0.1% of inputs."""
+    v = np.asarray(v, dtype=float)
+    return np.reshape([w**2 for w in v.ravel()], v.shape)
+
+
+def critical_epsilon(x, gamma):
     """Relaxation strength at which the spectrum develops a second-order EP.
 
     The discriminant's zero solves eps^2 - (2 + u) eps + 1 = 0 with
     u = 4 sinh^2 x / sin^2 gamma.  Its roots multiply to 1, so the small one
     is taken as 2 / (2 + u + sqrt(u (u + 4))), free of cancellation.  Even in
-    x, with a cusp at x = 0 where the value is exactly 1.
+    x, with a cusp at x = 0 where the value is exactly 1.  Broadcasts, with
+    one libm call per element of x and gamma, and gives the scalar result
+    bit for bit; scalars give a float.
     """
-    s2 = np.sin(gamma) ** 2
-    if s2 < 1e-24:
+    s2 = _square(np.sin(gamma))
+    if np.any(s2 < 1e-24):
         raise ValueError("gamma must not be a multiple of pi")
-    u = 4.0 * np.sinh(x) ** 2 / s2
-    return float(2.0 / (2.0 + u + np.sqrt(u) * np.sqrt(u + 4.0)))
+    u = 4.0 * _square(np.sinh(x)) / s2
+    eps = 2.0 / (2.0 + u + np.sqrt(u) * np.sqrt(u + 4.0))
+    return float(eps) if np.ndim(eps) == 0 else eps
 
 
 @dataclass(frozen=True)
@@ -135,38 +157,85 @@ class EPRecord:
     certified: bool                # analytic (A ~ 0) and numeric (defective pair) agree
 
 
+@dataclass(frozen=True)
+class EPScan:
+    """The fields of `EPRecord` as columns, one row per point, with gamma,
+    x and epsilon in place of the point."""
+
+    gamma: np.ndarray
+    x: np.ndarray
+    epsilon: np.ndarray
+    mu0: np.ndarray
+    discriminant_residual: np.ndarray   # inf outside the easy plane
+    certified: np.ndarray
+    certificate: JordanCertificate      # fields over the rows
+
+
+def _certify(x, gamma, eps, regime: ParameterRegime, tols: Tolerances) -> EPScan:
+    """Dual certification of each point of a theta = 0 stack: discriminant
+    zero and a defective pair block.  The checks run in the order one point
+    meets them, each raising for its first failing point."""
+    x, gamma, eps = (np.array(v, copy=None, ndmin=1) for v in (x, gamma, eps))
+    check_parameters(x, gamma, eps, 0.0)
+    mu, _ = _closed_forms(x, gamma, eps, tols)
+    T = assemble(*gate_stack(x, gamma, eps, 0.0, tols, regime)[:3])
+    block_reduce(T, tols)   # the parity check of every assembled step
+    cert = jordan_certificate(pair_block(T, tols), tols)
+    a_res = (np.abs(ep_discriminant(np.real(x), np.real(gamma), eps))
+             if regime is ParameterRegime.EASY_PLANE else np.full(len(mu), np.inf))
+    certified = (a_res <= tols.ep_discriminant) & (cert.gap <= tols.ep_gap) & cert.defective
+    return EPScan(gamma=gamma, x=x, epsilon=eps, mu0=(mu[:, 8] + mu[:, 9]) / 2.0,
+                  discriminant_residual=a_res, certified=certified, certificate=cert)
+
+
 def certify_ep(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) -> EPRecord:
-    """Dual certification of an EP candidate: discriminant zero and a
-    defective pair block."""
-    spec = analytic_spectrum(point, tols)
-    mu0 = (spec.mu[8] + spec.mu[9]) / 2.0
-    cert = jordan_certificate(pair_block(superoperator_at(point, tols).matrix, tols), tols)
-    a_res = abs(spec.A) if spec.A is not None else np.inf
-    certified = bool(a_res <= tols.ep_discriminant
-                     and cert.gap <= tols.ep_gap
-                     and cert.defective)
-    return EPRecord(point=point, mu0=mu0, certificate=cert,
-                    discriminant_residual=float(a_res), certified=certified)
+    """Dual certification of an EP candidate: row 0 of `_certify` on one point."""
+    if not point.superintegrable:
+        raise UnsupportedRegimeError("closed forms require theta = 0")
+    scan = _certify(point.x, point.gamma, point.epsilon, point.regime, tols)
+    cert = JordanCertificate(**{k: v[0].item() for k, v in vars(scan.certificate).items()})
+    return EPRecord(point, scan.mu0[0].item(), cert, scan.discriminant_residual[0].item(),
+                    scan.certified[0].item())
 
 
-def ep_scan(gamma_grid, x_grid, tols: Tolerances = DEFAULT_TOLS) -> list[EPRecord]:
-    """Locate the EP surface over a (gamma, x) grid in the easy plane.
+def ep_scan(gamma_grid, x_grid, tols: Tolerances = DEFAULT_TOLS) -> EPScan:
+    """Locate and certify the EP surface over a (gamma, x) grid in the easy
+    plane in one stacked pass: one `EPScan` row per grid point, sorted by
+    (gamma, x).
 
-    One record per grid point, sorted by (gamma, x); nothing is skipped.
-    Grid columns at multiples of pi are rejected up front; a point whose
+    Nothing is skipped.  Grid columns at multiples of pi are rejected up
+    front; any other failing point ends the scan with the error of a
+    point-by-point scan: the first failing point in (gamma, x) order
+    decides, and within it the first failing check.  So a point whose
     critical epsilon underflows to 0 (|x| >~ 355) raises `ValueError`, one
     whose closed forms overflow (|x| >~ 178) `FloatingPointError`.
     """
-    gamma_grid = np.atleast_1d(np.asarray(gamma_grid, dtype=float))
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    gamma_grid = np.sort(np.array(gamma_grid, dtype=float, ndmin=1))
+    x_grid = np.sort(np.array(x_grid, dtype=float, ndmin=1))
     if np.any(np.abs(np.sin(gamma_grid)) < 1e-12):
         raise ValueError("gamma grid contains a multiple of pi")
-    records = []
-    for gamma in sorted(gamma_grid):
-        for x in sorted(x_grid):
-            eps = critical_epsilon(x, gamma)
-            records.append(certify_ep(ParameterPoint.easy_plane(x, gamma, eps), tols))
-    return records
+    gamma, x = (g.ravel() for g in np.meshgrid(gamma_grid, x_grid, indexing="ij"))
+    eps = critical_epsilon(x_grid[None, :], gamma_grid[:, None]).ravel()
+
+    def certify(n):
+        return _certify(x[:n], gamma[:n], eps[:n], ParameterRegime.EASY_PLANE, tols)
+
+    failures = (ValueError, ArithmeticError, AssertionError, RuntimeError)
+    try:
+        return certify(len(x))
+    except failures as exc:
+        # each check raises for its own first failing point, so the
+        # shortest failing prefix ends at the first failing point, and its
+        # error is that point's first failing check
+        error, passing, failing = exc, 0, len(x)
+        while failing - passing > 1:
+            mid = (passing + failing) // 2
+            try:
+                certify(mid)
+                passing = mid
+            except failures as exc_mid:
+                error, failing = exc_mid, mid
+        raise error from None
 
 
 # ---------------------------------------------------------------------------

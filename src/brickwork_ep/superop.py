@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, Tolerances, raise_first
 from .gates import GateSet, ParameterPoint, SIGMA_ZZ, build_gate_set
 from .linalg import devectorize, eig_general, kron, match_spectra, vectorize
 
@@ -64,26 +64,40 @@ def apply_step(g: GateSet, rho: np.ndarray) -> np.ndarray:
     return g.U @ out @ g.U.conj().T
 
 
-def _check_zero(entries: np.ndarray, matrix: np.ndarray, tols: Tolerances, what: str):
-    """Raise SymmetryViolationError if entries the structure forces to zero are not."""
-    leak = np.abs(entries).max()
-    if leak > tols.parity_commutator * max(1.0, np.abs(matrix).max()):
-        raise SymmetryViolationError(f"{what} {leak:.3e} exceeds tolerance "
-                                     f"{tols.parity_commutator:.1e}")
+def _block(rows, cols):
+    """Index of the (rows, cols) sub-block of a matrix or of each of a stack."""
+    return (...,) + np.ix_(rows, cols)
+
+
+def _indicator(indices) -> np.ndarray:
+    """Which of the 16 vec indices are in `indices`."""
+    return np.isin(np.arange(16), indices)
+
+
+_CROSS_PARITY = np.not_equal.outer(_PARITY_DIAG > 0, _PARITY_DIAG > 0)
+
+
+def _check_zero(matrix: np.ndarray, zero: np.ndarray, tols: Tolerances, what: str):
+    """Raise SymmetryViolationError if the entries of the mask `zero`, which
+    the structure forces to zero, are not; each matrix at its own scale."""
+    a = np.abs(matrix)
+    leak = (a * zero).max(axis=(-2, -1))
+    raise_first(leak > tols.parity_commutator * np.maximum(1.0, a.max(axis=(-2, -1))),
+                lambda i: SymmetryViolationError(f"{what} {np.ravel(leak)[i]:.3e} exceeds "
+                                                 f"tolerance {tols.parity_commutator:.1e}"))
 
 
 def block_reduce(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
-    """Split a parity-symmetric 16x16 map into its two 8x8 blocks.
+    """Split a parity-symmetric 16x16 map, or each of a stack, into its two
+    8x8 blocks (tau_plus, tau_minus).
 
-    Returns (tau_plus, tau_minus).  Raises SymmetryViolationError if the map
-    does not commute with the parity projectors (e.g. a local gate not
-    commuting with sigma_z).  The commutator's entries are the cross-parity
-    entries up to sign, so those are checked directly.
+    Raises SymmetryViolationError if the map does not commute with the
+    parity projectors (e.g. a local gate not commuting with sigma_z).  The
+    commutator's entries are the cross-parity entries up to sign, so those
+    are checked directly.
     """
-    for rows, cols in ((EVEN_INDICES, ODD_INDICES), (ODD_INDICES, EVEN_INDICES)):
-        _check_zero(matrix[np.ix_(rows, cols)], matrix, tols, "parity commutator")
-    return (matrix[np.ix_(EVEN_INDICES, EVEN_INDICES)],
-            matrix[np.ix_(ODD_INDICES, ODD_INDICES)])
+    _check_zero(matrix, _CROSS_PARITY, tols, "parity commutator")
+    return matrix[_block(EVEN_INDICES, EVEN_INDICES)], matrix[_block(ODD_INDICES, ODD_INDICES)]
 
 
 # The pair mu9/mu10 is the spectrum of the map on vec indices {4, 8}: for
@@ -91,14 +105,14 @@ def block_reduce(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
 # eigenvectors reach into {13, 14}, whose rows read only columns 13 and 14.
 PAIR_INDICES = (4, 8)
 COMPLETION_INDICES = (13, 14)
+_INTO_PAIR = np.outer(~_indicator(PAIR_INDICES), _indicator(PAIR_INDICES))
 
 
 def pair_block(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """The invariant 2x2 block T[pair, pair].  Raises SymmetryViolationError
-    if another row reads the pair's columns."""
-    rest = [i for i in range(16) if i not in PAIR_INDICES]
-    _check_zero(matrix[np.ix_(rest, PAIR_INDICES)], matrix, tols, "leak into the pair block")
-    return matrix[np.ix_(PAIR_INDICES, PAIR_INDICES)]
+    """The invariant 2x2 block T[pair, pair], of a map or of each of a stack.
+    Raises SymmetryViolationError if another row reads the pair's columns."""
+    _check_zero(matrix, _INTO_PAIR, tols, "leak into the pair block")
+    return matrix[_block(PAIR_INDICES, PAIR_INDICES)]
 
 
 def completion_blocks(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
@@ -108,12 +122,12 @@ def completion_blocks(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     (w, w C (mu - D)^{-1}).  Raises SymmetryViolationError if the rows of
     both pairs read other columns or the completion rows read the pair's.
     """
-    sub = PAIR_INDICES + COMPLETION_INDICES
-    rest = [i for i in range(16) if i not in sub]
-    for rows, cols in ((sub, rest), (COMPLETION_INDICES, PAIR_INDICES)):
-        _check_zero(matrix[np.ix_(rows, cols)], matrix, tols, "leak out of the completion block")
-    return (matrix[np.ix_(PAIR_INDICES, COMPLETION_INDICES)],
-            matrix[np.ix_(COMPLETION_INDICES, COMPLETION_INDICES)])
+    both = _indicator(PAIR_INDICES + COMPLETION_INDICES)
+    into_pair = np.outer(_indicator(COMPLETION_INDICES), _indicator(PAIR_INDICES))
+    zero = np.outer(both, ~both) | into_pair
+    _check_zero(matrix, zero, tols, "leak out of the completion block")
+    return (matrix[_block(PAIR_INDICES, COMPLETION_INDICES)],
+            matrix[_block(COMPLETION_INDICES, COMPLETION_INDICES)])
 
 
 def embed_blocks(tau_plus: np.ndarray, tau_minus: np.ndarray) -> np.ndarray:
@@ -124,13 +138,18 @@ def embed_blocks(tau_plus: np.ndarray, tau_minus: np.ndarray) -> np.ndarray:
     return T
 
 
+def assemble(U: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The vectorized step T = sum_m W_m x W_m^* with W_m = U (K_m x V), from
+    U (..., 4, 4), the Kraus pair K (..., 2, 2, 2) and V (..., 2, 2): a stack
+    of N steps gives (N, 16, 16)."""
+    KV = np.einsum("...mij,...kl->...mikjl", K, V).reshape(K.shape[:-2] + (4, 4))
+    W = U[..., None, :, :] @ KV
+    return np.einsum("...mij,...mkl->...ikjl", W, W.conj()).reshape(U.shape[:-2] + (16, 16))
+
+
 def build_superoperator(g: GateSet, tols: Tolerances = DEFAULT_TOLS) -> Superoperator:
-    """Assemble T = (U x U^*) sum_j (K_j x V) x (K_j x V)^* and block-split it."""
-    T = np.zeros((16, 16), dtype=complex)
-    for K in (g.K1, g.K2):
-        M = kron(K, g.V)
-        T += kron(M, M.conj())
-    T = kron(g.U, g.U.conj()) @ T
+    """Assemble the step of one gate set and block-split it."""
+    T = assemble(g.U, np.stack((g.K1, g.K2)), g.V)
     tau_plus, tau_minus = block_reduce(T, tols)
     return Superoperator(
         matrix=T, point=g.point, gates=g,
@@ -199,7 +218,7 @@ def pair_splitting_sqrt(lam: complex, q: complex, epsilon: float) -> complex:
                 + 2.0 * q**2 * (2.0 * lam**4 * epsilon
                                 - lam**2 * (epsilon + 1.0) ** 2
                                 + 2.0 * epsilon))
-    return np.sqrt(complex(radicand))
+    return np.sqrt(np.asarray(radicand, dtype=complex))
 
 
 def even_quad_linear_coeff(lam: complex, q: complex, epsilon: float) -> complex:

@@ -361,3 +361,44 @@ def test_evolve_negative_delta_exit_code(tmp_path):
                 "--delta=-0.01", "--output", out])
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x_grid, code", [("200:400:3", 3), ("400:500:2", 2)])
+def test_ep_scan_first_failing_point_decides_exit_code(tmp_path, x_grid, code):
+    # x = 200 overflows the closed forms (exit 3) before x = 400 underflows
+    # the critical epsilon (exit 2), as in a point-by-point scan
+    out = tmp_path / "scan.csv"
+    assert run(["ep-scan", "--gamma-grid", "0.5:1:2", "--x-grid", x_grid,
+                "--output", out]) == code
+    assert not out.exists()
+
+
+def test_parser_reuse_is_stateless(tmp_path):
+    spec = ["spectrum", "--gamma", GAMMA_A, "--x", X_A, "--epsilon", 0.32]
+    scan = ["ep-scan", "--gamma-grid", "0.5:1:2", "--x-grid", "0.2:0.6:3"]
+    assert run(spec + ["--output", tmp_path / "a.csv"]) == 0
+    assert run(scan + ["--output", tmp_path / "b.csv"]) == 0
+    assert run(spec + ["--output", tmp_path / "c.csv"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--gamma", 0.7, "--x", 705, "--epsilon", 0.5, "--theta", 0.2],
+    ["bifurcate", "--gamma", 0.7, "--theta", 0.2, "--epsilon", 0.5, "--sweep", "x",
+     "--sweep-grid", "700:705:2"],
+])
+def test_large_lambda_denominator_check_without_overflow(tmp_path, args):
+    # runs under the suite's error::RuntimeWarning: lambda^2 is never formed
+    assert run(args + ["--output", tmp_path / "out.csv"]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["--gamma", 0.7, "--rate", -1, "--time", -100],
+    ["--gamma", 4, "--rate", 1, "--time", 100],
+])
+def test_trotter_nonpositive_lambda_exit_code(tmp_path, args):
+    # lambda_n = 1 + 2 sin(gamma) t/n <= 0 at the smallest n is an input error
+    out = tmp_path / "t.csv"
+    assert run(["trotter", *args, "--output", out]) == 2
+    assert not out.exists()

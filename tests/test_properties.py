@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brickwork_ep import (DEFAULT_TOLS, Observable, ParameterPoint, ParameterRegime,
-                          analytic_spectrum, block_reduce, choi_min_eigenvalue,
-                          critical_epsilon, ep_discriminant, evolve, match_spectra,
+                          analytic_spectrum, block_reduce, certify_ep, choi_min_eigenvalue,
+                          critical_epsilon, ep_discriminant, ep_scan, evolve, match_spectra,
                           observable_series, pair_block, superoperator_at,
                           trace_preservation_defect)
 
@@ -71,3 +71,24 @@ def test_series_is_trace_against_evolved_states(point, seed):
     rec = observable_series(s, rho0, Observable("dense", g), 30, mu_rescale=1.0)
     direct = np.array([np.trace(g @ st) for st in evolve(s, rho0, 30)])
     assert np.abs(rec.values - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(gammas=st.lists(st.floats(0.05, np.pi - 0.05), min_size=1, max_size=3),
+       xs=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4),
+       cusp=st.floats(1e-9, 1e-3))
+def test_ep_scan_rows_match_certify_ep(gammas, xs, cusp):
+    # the stacked scan and the one-point certification agree row by row,
+    # at gamma = pi/2 and across the cusp of the surface at x = 0
+    scan = ep_scan(gammas + [np.pi / 2], xs + [-cusp, 0.0, cusp])
+    for i in range(len(scan.x)):
+        x, gamma = float(scan.x[i]), float(scan.gamma[i])
+        assert scan.epsilon[i] == critical_epsilon(x, gamma)
+        rec = certify_ep(ParameterPoint.easy_plane(x, gamma, scan.epsilon[i]))
+        assert scan.certified[i] == rec.certified
+        assert abs(scan.mu0[i] - rec.mu0) <= 1e-15
+        assert abs(scan.discriminant_residual[i] - rec.discriminant_residual) <= 1e-15
+        for field in ("gap", "min_overlap", "nilpotent_ratio"):
+            assert abs(getattr(scan.certificate, field)[i]
+                       - getattr(rec.certificate, field)) <= 1e-15, field
+        assert scan.certificate.defective[i] == rec.certificate.defective

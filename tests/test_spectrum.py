@@ -118,33 +118,31 @@ def test_critical_epsilon_rejects_gamma_multiple_of_pi():
 
 
 def test_ep_scan_finds_reference_point():
-    records = ep_scan([GAMMA_A], [X_A])
-    assert len(records) == 1
-    rec = records[0]
-    assert abs(rec.point.epsilon - 0.4) < 5e-3
-    assert rec.certified
-    assert rec.certificate.gap < 1e-6
-    assert rec.certificate.min_overlap < 1e-6
+    scan = ep_scan([GAMMA_A], [X_A])
+    assert len(scan.x) == 1
+    assert abs(scan.epsilon[0] - 0.4) < 5e-3
+    assert scan.certified[0]
+    assert scan.certificate.gap[0] < 1e-6
+    assert scan.certificate.min_overlap[0] < 1e-6
 
 
 def test_ep_scan_sorted_and_certified(rng):
     gammas = np.linspace(0.4, 2.4, 5)
     xs = np.linspace(0.15, 1.0, 10)
-    records = ep_scan(gammas, xs)
-    assert len(records) == 50
-    keys = [(np.real(r.point.gamma), np.real(r.point.x)) for r in records]
+    scan = ep_scan(gammas, xs)
+    assert len(scan.x) == 50
+    keys = list(zip(scan.gamma, scan.x))
     assert keys == sorted(keys)
-    for rec in records:
-        assert rec.certified
-        assert rec.certificate.gap <= 1e-6
-        assert rec.certificate.min_overlap < 1e-6
-        assert rec.certificate.nilpotent_ratio < 1e-8
+    assert scan.certified.all()
+    assert (scan.certificate.gap <= 1e-6).all()
+    assert (scan.certificate.min_overlap < 1e-6).all()
+    assert (scan.certificate.nilpotent_ratio < 1e-8).all()
 
 
 def test_ep_scan_certifies_gamma_half_pi():
     # mu9,10 and mu13,14 coincide at gamma = pi/2; the pair block still isolates mu9,10
-    records = ep_scan([np.pi / 2], [0.2, 0.4, 0.6, 1.0])
-    assert len(records) == 4 and all(rec.certified for rec in records)
+    scan = ep_scan([np.pi / 2], [0.2, 0.4, 0.6, 1.0])
+    assert len(scan.x) == 4 and scan.certified.all()
 
 
 def test_ep_scan_rejects_bad_gamma():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from brickwork_ep import (ParameterPoint, SymmetryViolationError,
-                          UnsupportedRegimeError, analytic_spectrum, apply_step,
-                          block_reduce, build_gate_set, choi_min_eigenvalue,
+                          UnsupportedRegimeError, analytic_spectrum, apply_step, assemble,
+                          block_reduce, build_gate_set, choi_min_eigenvalue, gate_stack,
                           devectorize, embed_blocks, factored_char_poly,
                           match_spectra, parity_projectors, steady_state,
                           superoperator_at, trace_preservation_defect, vectorize)
@@ -48,6 +48,34 @@ def test_superoperator_matches_direct_with_theta(rng):
         rho = random_density(rng)
         direct = apply_step(g, rho)
         assert np.abs(devectorize(s.matrix @ vectorize(rho)) - direct).max() < 1e-12
+
+
+def test_assembled_stack_matches_direct_application(rng):
+    x, gamma = rng.uniform(-1.0, 1.0, 8), rng.uniform(0.2, 2.9, 8)
+    eps, theta = rng.uniform(0.05, 1.0, 8), rng.uniform(-1.0, 1.0, 8)
+    T = assemble(*gate_stack(x, gamma, eps, theta)[:3])
+    assert T.shape == (8, 16, 16)
+    for n in range(8):
+        g = build_gate_set(ParameterPoint.easy_plane(x[n], gamma[n], eps[n], theta[n]))
+        rho = random_density(rng)
+        assert np.abs(T[n] @ vectorize(rho) - vectorize(apply_step(g, rho))).max() < 1e-14
+
+
+def test_zero_checks_scale_each_matrix_of_a_stack(rng):
+    # a leak of 1e-8 fails against its own matrix's scale (~1) even when
+    # another matrix of the stack is 1e6 times larger
+    T = np.stack([superoperator_at(random_easy_plane_point(rng)).matrix for _ in range(3)])
+    T[0] *= 1e6
+    block_reduce(T)
+    pair_block(T)
+    broken = T.copy()
+    broken[2, EVEN_INDICES[0], ODD_INDICES[0]] = 1e-8
+    with pytest.raises(SymmetryViolationError):
+        block_reduce(broken)
+    broken = T.copy()
+    broken[2, 0, PAIR_INDICES[1]] = 1e-8
+    with pytest.raises(SymmetryViolationError):
+        pair_block(broken)
 
 
 def test_parity_projectors_algebra():
