@@ -11,7 +11,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -20,10 +19,11 @@ from .config import DEFAULT_TOLS, override_tolerances
 from .continuum import composite_trotter_check, kraus_lindblad_spectral_map, trotter_lambda
 from .dynamics import (coherence_probe, coherence_probe_adjoint,
                        identity_observable, sensitivity_probe)
-from .gates import ParameterPoint, SingularGateError
+from .gates import (ParameterPoint, SingularGateError, check_denominators, check_parameters,
+                    gate_stack)
 from .linalg import EigenDecompositionError, eig_general, match_spectra
 from .spectrum import analytic_spectrum, ep_scan
-from .superop import UnsupportedRegimeError, superoperator_at
+from .superop import UnsupportedRegimeError, assemble, block_reduce, superoperator_at
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,30 +41,39 @@ class ConfigError(ValueError):
     pass
 
 
+# one cell formatter per dtype kind; integers, strings and the rest by str
+_FORMATTERS = {"b": lambda v: "true" if v else "false", "f": "{:.17g}".format,
+               "c": lambda v: f"{v.real:.17g}{v.imag:+.17g}j"}
+
+
+def _cells(column) -> list[str]:
+    """The cells of one table column, by the formatter of its dtype."""
+    values = np.asarray(column)
+    return list(map(_FORMATTERS.get(values.dtype.kind, str), values.tolist()))
+
+
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (complex, np.complexfloating)):
-        return f"{x.real:.17g}{x.imag:+.17g}j"
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    return str(x)
+    """One metadata value, formatted as a table cell."""
+    return _cells([x])[0]
 
 
-def write_table(path: str, fmt: str, metadata: dict, columns: list[str], rows: list[tuple]):
+def write_table(path: str, fmt: str, metadata: dict, columns: list[str], data):
+    """Write a table as CSV or JSON.  `data` holds one sequence (array or
+    list) per column, all of one length; each column is formatted by one
+    formatter chosen from its dtype: bool as true/false, floats as %.17g,
+    complex as re+imj at that precision, integers and strings by str.  A
+    CSV row and a JSON row are the same cells."""
+    rows = zip(*map(_cells, data))
     if fmt == "csv":
         lines = [f"# {k} = {_fmt(v)}" for k, v in sorted(metadata.items())]
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines.extend(map(",".join, rows))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         doc = {
             "metadata": {k: _fmt(v) for k, v in sorted(metadata.items())},
             "columns": columns,
-            "rows": [[_fmt(v) for v in row] for row in rows],
+            "rows": list(rows),
         }
         text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     else:
@@ -77,12 +86,15 @@ def write_table(path: str, fmt: str, metadata: dict, columns: list[str], rows: l
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """'start:stop:count' -> inclusive linspace."""
+    """'start:stop:count' -> inclusive linspace of count >= 1 points."""
     try:
         start, stop, count = text.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}, expected start:stop:count") from exc
+    if count < 1:
+        raise ConfigError(f"bad grid {text!r}: count must be at least 1")
+    return np.linspace(start, stop, count)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -204,7 +216,7 @@ def cmd_spectrum(args) -> int:
         pair_gap = abs(spec.mu[8] - spec.mu[9])
         meta["pair-gap-9-10"] = pair_gap
     write_table(_output_path(args, "spectrum.csv"), args.format, meta,
-                ["index", "re_mu", "im_mu", "abs_mu", "source"], rows)
+                ["index", "re_mu", "im_mu", "abs_mu", "source"], list(zip(*rows)))
     return EXIT_OK
 
 
@@ -218,13 +230,12 @@ def cmd_ep_scan(args) -> int:
         scan = ep_scan(gammas, xs, tols)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = list(zip(scan.gamma.tolist(), scan.x.tolist(), scan.epsilon.tolist(),
-                    scan.mu0.real.tolist(), scan.mu0.imag.tolist(), scan.certified.tolist()))
     meta = _base_metadata(args)
     meta["regime"] = "easy-plane"
-    meta["records"] = len(rows)
+    meta["records"] = len(scan.gamma)
     write_table(_output_path(args, "ep_scan.csv"), args.format, meta,
-                ["gamma", "x", "epsilon_ep", "re_mu0", "im_mu0", "certified"], rows)
+                ["gamma", "x", "epsilon_ep", "re_mu0", "im_mu0", "certified"],
+                [scan.gamma, scan.x, scan.epsilon, scan.mu0.real, scan.mu0.imag, scan.certified])
     return EXIT_OK
 
 
@@ -237,25 +248,29 @@ def cmd_bifurcate(args) -> int:
     fixed = (_resolve_point(args, epsilon=1.0) if args.sweep == "epsilon"
              else _resolve_point(args, x=0.0))
 
-    rows = []
-    skipped = 0
+    # each sweep value is checked as its own point, then the valid ones run as one stack
+    params = {k: getattr(fixed, k) for k in ("x", "gamma", "epsilon", "theta")}
+    values = []
     for val in grid:
         try:
-            point = replace(fixed, **{args.sweep: float(val)})
-            s = superoperator_at(point, tols)
+            check_denominators(*check_parameters(**{**params, args.sweep: float(val)}), tols)
         except (SingularGateError, ValueError) as exc:
             print(f"brickwork-ep: skipping {args.sweep} = {val:.6g}: {exc}", file=sys.stderr)
-            skipped += 1
             continue
-        for sector, tau in (("plus", s.tau_plus), ("minus", s.tau_minus)):
-            evals = np.linalg.eigvals(tau)
-            order = np.lexsort((evals.imag, evals.real))
-            for k, mu in enumerate(evals[order]):
-                rows.append((float(val), sector, int(k + 1), mu.real, mu.imag, abs(mu)))
+        values.append(float(val))
+    n = len(values)
+    stack = {k: np.full(n, v) for k, v in params.items()} | {args.sweep: np.array(values)}
+    taus = block_reduce(assemble(*gate_stack(**stack, tols=tols)[:3]), tols)
+    evals = np.stack([np.linalg.eigvals(tau) for tau in taus], axis=1)   # (n, 2, 8)
+    order = np.lexsort((evals.imag, evals.real), axis=-1)
+    evals = np.take_along_axis(evals, order, axis=-1).ravel()
+    data = [np.repeat(values, 16), np.tile(np.repeat(["plus", "minus"], 8), n),
+            np.tile(np.arange(1, 9), 2 * n), evals.real, evals.imag,
+            list(map(abs, evals.tolist()))]   # scalar abs: np.abs differs in the last bit
     meta = _base_metadata(args)
-    meta["skipped"] = skipped
+    meta["skipped"] = len(grid) - n
     write_table(_output_path(args, "bifurcate.csv"), args.format, meta,
-                ["sweep_value", "sector", "branch", "re_mu", "im_mu", "abs_mu"], rows)
+                ["sweep_value", "sector", "branch", "re_mu", "im_mu", "abs_mu"], data)
     return EXIT_OK
 
 
@@ -271,14 +286,16 @@ def cmd_evolve(args) -> int:
     probe = sensitivity_probe(_resolve_point(args, epsilon=eps0), delta, args.n_max,
                               _OBSERVABLES[args.observable](), tols=tols)
 
-    rows = []
     meta = _base_metadata(args)
-    for tag, rec in (("minus", probe.minus), ("center", probe.center), ("plus", probe.plus)):
+    tags = ("minus", "center", "plus")
+    records = (probe.minus, probe.center, probe.plus)
+    for tag, rec in zip(tags, records):
         meta[f"regime-{tag}"] = rec.regime.value if rec.regime else "inconclusive"
-        for n in range(args.n_max + 1):
-            rows.append((tag, n, rec.values[n].real, rec.values[n].imag, rec.rescaled[n]))
+    values = np.concatenate([rec.values for rec in records])
+    data = [np.repeat(tags, args.n_max + 1), np.tile(np.arange(args.n_max + 1), 3),
+            values.real, values.imag, np.concatenate([rec.rescaled for rec in records])]
     write_table(_output_path(args, "evolve.csv"), args.format, meta,
-                ["series", "n", "re_g", "im_g", "rescaled"], rows)
+                ["series", "n", "re_g", "im_g", "rescaled"], data)
     return EXIT_OK
 
 
@@ -305,19 +322,16 @@ def cmd_trotter(args) -> int:
     report = composite_trotter_check(float(args.gamma), Gamma, t, n_list, tols)
     spectral = kraus_lindblad_spectral_map(Gamma, t, max(n_list)) if Gamma * t > 0 else None
 
-    rows = []
-    prev = None
-    for n, unit_err, comp_err in report.rows:
-        ratio = prev / comp_err if (prev is not None and comp_err) else 0.0
-        rows.append((n, unit_err, comp_err, ratio))
-        prev = comp_err
+    ns, unit_err, comp_err = zip(*report.rows)
+    ratio = [0.0] + [prev / err if err else 0.0 for prev, err in zip(comp_err, comp_err[1:])]
     meta = _base_metadata(args)
     meta["halving-ok"] = report.halving_ok
     if spectral is not None:
         meta["spectral-map-max-diff"] = spectral.max_eig_diff
         meta["channel-embedding-diff"] = spectral.channel_diff
     write_table(_output_path(args, "trotter.csv"), args.format, meta,
-                ["n", "unitary_residual", "composite_error", "ratio_to_previous"], rows)
+                ["n", "unitary_residual", "composite_error", "ratio_to_previous"],
+                [ns, unit_err, comp_err, ratio])
     return EXIT_OK
 
 

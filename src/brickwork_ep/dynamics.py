@@ -6,7 +6,6 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as la
 
 from .config import DEFAULT_TOLS, Tolerances
 from .gates import (PROJ_UP, ParameterPoint, ParameterRegime, SIGMA_MINUS,
@@ -52,7 +51,7 @@ def _validate_state(rho: np.ndarray, tols: Tolerances):
         raise ValueError("initial state is not Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-10:
         raise ValueError("initial state does not have unit trace")
-    if la.eigvalsh((rho + rho.conj().T) / 2).min() < -tols.choi_floor:
+    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -tols.choi_floor:
         raise ValueError("initial state is not positive semidefinite")
     return rho
 

@@ -6,7 +6,6 @@ of the 8x8 parity blocks in the integrable theta = 0 case.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .config import DEFAULT_TOLS, Tolerances, raise_first
 from .gates import GateSet, ParameterPoint, SIGMA_ZZ, build_gate_set
@@ -181,7 +180,7 @@ def choi_matrix(matrix: np.ndarray) -> np.ndarray:
 def choi_min_eigenvalue(matrix: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitized Choi matrix (>= 0 for a CP map)."""
     J = choi_matrix(matrix)
-    return float(la.eigvalsh((J + J.conj().T) / 2).min())
+    return float(np.linalg.eigvalsh((J + J.conj().T) / 2).min())
 
 
 def steady_state(s: Superoperator, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -286,7 +285,7 @@ def factored_char_poly(tau: np.ndarray, point: ParameterPoint, sector: str,
     else:
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
 
-    evals = la.eigvals(np.asarray(tau, dtype=complex))
+    evals = np.linalg.eigvals(np.asarray(tau, dtype=complex))
     remaining = list(capacity)
     assignments = []
     max_residual = 0.0

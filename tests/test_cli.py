@@ -123,6 +123,17 @@ def test_bifurcate_sweep(tmp_path):
             assert min(abs(m - target) for m in sub) < 1e-9
 
 
+@pytest.mark.parametrize("args", [
+    ["ep-scan", "--gamma-grid", "0.5:1:0", "--x-grid", "0.1:1:2"],
+    ["bifurcate", "--gamma", 0.7, "--theta", 0.3, "--x", 0.5, "--sweep-grid", "0.1:0.5:0"],
+])
+def test_grid_count_below_one_exit_code(tmp_path, args):
+    # an empty grid used to write a header-only table and exit 0
+    out = tmp_path / "out.csv"
+    assert run(args + ["--output", out]) == 2
+    assert not out.exists()
+
+
 def test_bifurcate_x_sweep(tmp_path):
     out = tmp_path / "bif.csv"
     code = run(["bifurcate", "--gamma", GAMMA_A, "--epsilon", 0.4,
