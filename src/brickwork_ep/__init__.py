@@ -16,9 +16,8 @@ from .continuum import (LindbladSpec, SpectralMapReport, TrotterReport, XXZSpec,
                         xxz_limit_check)
 from .dynamics import (EPRegime, Observable, RegimeReport, SensitivityProbe,
                        TrajectoryRecord, classify_regime, coherence_probe,
-                       coherence_probe_adjoint, evolve, evolve_by_powers,
-                       identity_observable, jordan_growth, observable_series,
-                       reference_initial_state, sensitivity_probe)
+                       coherence_probe_adjoint, evolve, identity_observable,
+                       jordan_growth, observable_series, reference_initial_state, sensitivity_probe)
 from .gates import (GateSet, ParameterPoint, ParameterRegime, SingularGateError,
                     build_gate_set, coupling_gate, gate_stack, local_phase_gate,
                     relaxation_channel_spectrum, relaxation_kraus, relaxation_steps)

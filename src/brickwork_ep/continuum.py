@@ -11,9 +11,9 @@ import scipy.linalg as la
 
 from .config import DEFAULT_TOLS, Tolerances
 from .gates import (I2, I4, ParameterPoint, SIGMA_PLUS, SIGMA_X, SIGMA_Y,
-                    SIGMA_ZZ, coupling_gate, relaxation_kraus)
+                    SIGMA_ZZ, coupling_gate, gate_stack, relaxation_kraus)
 from .linalg import kron
-from .superop import superoperator_at
+from .superop import assemble, block_reduce
 
 
 @dataclass(frozen=True)
@@ -155,23 +155,17 @@ def composite_trotter_check(gamma: float, Gamma: float, t: float, n_list,
     propagators; it decays as O(1/n), so doubling n halves it.  The
     unitary-only column repeats the check at Gamma = 0.
     """
-    spec = build_lindblad(gamma, Gamma)
-    unitary_gen = -1j * (kron(spec.hamiltonian, I4) - kron(I4, spec.hamiltonian.T))
-    ref = la.expm(t * spec.generator)
-    ref_unitary = la.expm(t * unitary_gen)
+    ref, ref_unitary = (la.expm(t * build_lindblad(gamma, G).generator) for G in (Gamma, 0.0))
 
-    rows = []
-    for n in sorted(int(n) for n in n_list):
-        lam_n = trotter_lambda(gamma, t, n)
-        eps_n = float(np.exp(-Gamma * t / n)) if Gamma * t != 0 else 1.0
-        point = ParameterPoint.easy_plane(np.log(lam_n), gamma, eps_n)
-        step = superoperator_at(point, tols).matrix
-        composite = float(np.linalg.norm(np.linalg.matrix_power(step, n) - ref))
-
-        point_u = ParameterPoint.easy_plane(np.log(lam_n), gamma, 1.0)
-        step_u = superoperator_at(point_u, tols).matrix
-        unitary = float(np.linalg.norm(np.linalg.matrix_power(step_u, n) - ref_unitary))
-        rows.append((n, unitary, composite))
+    # stacked as a per-point loop meets the steps: the first failing one decides
+    ns = sorted(int(n) for n in n_list)
+    eps = np.ravel([(np.exp(-Gamma * t / n) if Gamma * t != 0 else 1.0, 1.0) for n in ns])
+    x = np.repeat([np.log(trotter_lambda(gamma, t, n)) for n in ns], 2)
+    T = assemble(*gate_stack(x, gamma, eps, 0.0, tols)[:3])
+    block_reduce(T, tols)   # the parity check of every step
+    rows = [(n, float(np.linalg.norm(np.linalg.matrix_power(step_u, n) - ref_unitary)),
+             float(np.linalg.norm(np.linalg.matrix_power(step, n) - ref)))
+            for n, step, step_u in zip(ns, T[0::2], T[1::2])]
 
     ratios, halving_ok = _ratio_check([(n, e) for n, _, e in rows], lambda n1, n2: n2 / n1,
                                       tols.halving_ratio_rtol)

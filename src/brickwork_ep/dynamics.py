@@ -3,6 +3,7 @@ law, and classification of the below/at/above-EP dynamical regimes.
 """
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .gates import (PROJ_UP, ParameterPoint, ParameterRegime, SIGMA_MINUS,
                     SIGMA_PLUS)
-from .linalg import devectorize, eig_general, kron, vectorize
+from .linalg import eig_general, kron, vectorize
 from .spectrum import analytic_spectrum, critical_epsilon
 from .superop import Superoperator, superoperator_at
 
@@ -67,15 +68,19 @@ def evolve(s: Superoperator, rho0: np.ndarray, n_max: int,
     return out.reshape(n_max + 1, 4, 4)
 
 
-def evolve_by_powers(s: Superoperator, rho0: np.ndarray, steps,
-                     tols: Tolerances = DEFAULT_TOLS) -> list[np.ndarray]:
-    """States at selected step counts via matrix powers (repeated squaring).
-
-    An independent route used to cross-check `evolve`.
-    """
-    rho0 = _validate_state(rho0, tols)
-    v = vectorize(rho0)
-    return [devectorize(np.linalg.matrix_power(s.matrix, int(n)) @ v) for n in steps]
+def _power_series(left, T, right, n_max: int, dtype=complex) -> np.ndarray:
+    """left . T^n . right for n = 0..n_max: B = ceil(sqrt(n_max + 1)) baby steps
+    left . T^j and ceil((n_max + 1) / B) giant steps T^(kB) . right meet in one
+    product, entry (k, j) the term n = kB + j: ~2 sqrt(n) small products, not n.
+    np.clongdouble steps round terms below the smallest normal double just once."""
+    B = math.isqrt(n_max) + 1
+    left, T, right = (np.asarray(a, dtype=dtype) for a in (left, T, right))
+    baby, giant, TB = [left], [right], np.linalg.matrix_power(T, B)
+    for _ in range(B - 1):
+        baby.append(baby[-1] @ T)
+    for _ in range(n_max // B):
+        giant.append(TB @ giant[-1])
+    return (np.array(giant) @ np.array(baby).T).ravel()[:n_max + 1].astype(complex)
 
 
 def _closed_form_point(point: ParameterPoint) -> bool:
@@ -125,31 +130,28 @@ def _default_rescale(point: ParameterPoint) -> complex:
 def observable_series(s: Superoperator, rho0: np.ndarray, g: Observable, n_max: int,
                       mu_rescale: complex | None = None,
                       tols: Tolerances = DEFAULT_TOLS) -> TrajectoryRecord:
-    """Time series <g[n]> = Tr(g rho[n]) by direct evolution.
-
-    Tr(g rho) = vec(g^T) . vec(rho) in the row-major convention, so the
-    series is one contraction of the evolved vectors.  Away from any
-    defective point it is recomputed through the biorthogonal
-    eigendecomposition sum_j mu_j^n <w_j|rho0> Tr(g v_j) / <w_j|v_j> and the
-    maximal deviation (relative to the series maximum) is recorded; on or
-    near an EP the expansion is invalid and skipped.
-    """
-    vecs = evolve(s, rho0, n_max, tols).reshape(n_max + 1, 16)
+    """Time series <g[n]> = Tr(g rho[n]) = vec(g^T) . T^n . vec(rho0), one
+    `_power_series` of the step (`evolve` is the step-by-step route).  Away from
+    any defective point it is recomputed through the biorthogonal expansion
+    sum_j mu_j^n <w_j|rho0> Tr(g v_j) / <w_j|v_j> on diag(mu), and the maximal
+    deviation relative to the series maximum is recorded; near an EP it is skipped."""
+    rho_vec = vectorize(_validate_state(rho0, tols))
     g_vec = vectorize(g.matrix.T)
-    values = vecs @ g_vec
+    values = _power_series(g_vec, s.matrix, rho_vec, n_max)
+    if np.abs(values).min() < np.finfo(float).tiny:   # terms lost digits to underflow
+        values = _power_series(g_vec, s.matrix, rho_vec, n_max, np.clongdouble)
 
-    ns = np.arange(n_max + 1)
     expansion_deviation = None
     es = eig_general(s.matrix, tols)
     if not es.near_defective and _discriminant_regime(s.point, tols) is not EPRegime.AT_EP:
         w_h = es.left.conj().T
-        alpha = (w_h @ vecs[0]) / np.einsum("ij,ji->i", w_h, es.right)
-        series = (es.eigenvalues[None, :] ** ns[:, None]) @ (alpha * (g_vec @ es.right))
+        alpha = (w_h @ rho_vec) / np.einsum("ij,ji->i", w_h, es.right)
+        series = _power_series(g_vec @ es.right, np.diag(es.eigenvalues), alpha, n_max)
         expansion_deviation = float(np.abs(series - values).max()
                                     / max(np.abs(values).max(), 1e-300))
 
     mur = _default_rescale(s.point) if mu_rescale is None else mu_rescale
-    rescaled = np.abs(values) / np.abs(mur) ** ns
+    rescaled = np.abs(values) / np.abs(mur) ** np.arange(n_max + 1)
     return TrajectoryRecord(values=values, rescaled=rescaled, regime=None,
                             expansion_deviation=expansion_deviation)
 

@@ -205,7 +205,12 @@ def gate_stack(x, gamma, epsilon, theta, tols: Tolerances = DEFAULT_TOLS,
     U has unit corners and the centre block [[a, b], [b, a]], with
     a = (q - 1/q) / (q lam - 1/(q lam)) and b = (lam - 1/lam) / (q lam - 1/(q lam)).
     """
-    lam, q = check_parameters(x, gamma, epsilon, theta)
+    return _checked_gate_stack(*check_parameters(x, gamma, epsilon, theta), epsilon, theta,
+                               tols, regime)
+
+
+def _checked_gate_stack(lam, q, epsilon, theta, tols: Tolerances, regime: ParameterRegime):
+    """`gate_stack` from the (lam, q) of points that passed `check_parameters`."""
     check_denominators(lam, q, tols)
     den = q * lam - 1.0 / (q * lam)
     U = np.zeros(den.shape + (4, 4), dtype=complex)
@@ -229,9 +234,9 @@ def gate_stack(x, gamma, epsilon, theta, tols: Tolerances = DEFAULT_TOLS,
 
 
 def build_gate_set(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) -> GateSet:
-    """Construct and validate all gates of one brickwork step: `gate_stack`, N = 1."""
-    U, K, V, unitary = gate_stack(point.x, point.gamma, point.epsilon, point.theta, tols,
-                                  point.regime)
+    """All gates of one brickwork step: `gate_stack`, N = 1, on a checked point."""
+    U, K, V, unitary = _checked_gate_stack(np.atleast_1d(point.lam), np.atleast_1d(point.q),
+                                           point.epsilon, point.theta, tols, point.regime)
     return GateSet(U=U[0], K1=K[0, 0], K2=K[0, 1], V=V[0], point=point,
                    unitary=bool(unitary[0]))
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances, raise_first
-from .gates import (ParameterPoint, ParameterRegime, check_denominators, check_parameters,
-                    gate_stack)
+from .gates import (ParameterPoint, ParameterRegime, _checked_gate_stack, check_denominators,
+                    check_parameters)
 from .linalg import JordanCertificate, jordan_certificate
 from .superop import (COMPLETION_INDICES, PAIR_INDICES, UnsupportedRegimeError, assemble,
                       block_reduce, completion_blocks, pair_block, pair_splitting_sqrt,
@@ -176,9 +176,9 @@ def _certify(x, gamma, eps, regime: ParameterRegime, tols: Tolerances) -> EPScan
     zero and a defective pair block.  The checks run in the order one point
     meets them, each raising for its first failing point."""
     x, gamma, eps = (np.array(v, copy=None, ndmin=1) for v in (x, gamma, eps))
-    check_parameters(x, gamma, eps, 0.0)
+    lam, q = check_parameters(x, gamma, eps, 0.0)
     mu, _ = _closed_forms(x, gamma, eps, tols)
-    T = assemble(*gate_stack(x, gamma, eps, 0.0, tols, regime)[:3])
+    T = assemble(*_checked_gate_stack(lam, q, eps, 0.0, tols, regime)[:3])
     block_reduce(T, tols)   # the parity check of every assembled step
     cert = jordan_certificate(pair_block(T, tols), tols)
     a_res = (np.abs(ep_discriminant(np.real(x), np.real(gamma), eps))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
-from brickwork_ep import (build_lindblad, build_xxz, composite_trotter_check,
-                          dissipator_matrix, kraus_lindblad_spectral_map,
+from brickwork_ep import (ParameterPoint, build_lindblad, build_xxz, composite_trotter_check,
+                          dissipator_matrix, kraus_lindblad_spectral_map, superoperator_at,
                           xxz_limit_check)
-from brickwork_ep.gates import SIGMA_PLUS, SIGMA_ZZ
+from brickwork_ep.continuum import trotter_lambda
+from brickwork_ep.gates import I4, SIGMA_PLUS, SIGMA_ZZ
+from brickwork_ep.linalg import kron
 
 from conftest import random_density
 
@@ -81,3 +84,40 @@ def test_composite_trotter_zero_time():
     report = composite_trotter_check(np.pi / 4, 0.5, 0.0, [10, 20])
     for _, unitary_err, composite_err in report.rows:
         assert unitary_err < 1e-12 and composite_err < 1e-12
+
+
+def _trotter_rows_by_point(gamma, Gamma, t, n_list):
+    """The rows of `composite_trotter_check` computed point by point, one
+    `superoperator_at` per step: the reference for the stacked steps."""
+    spec = build_lindblad(gamma, Gamma)
+    unitary_gen = -1j * (kron(spec.hamiltonian, I4) - kron(I4, spec.hamiltonian.T))
+    ref, ref_unitary = la.expm(t * spec.generator), la.expm(t * unitary_gen)
+    rows = []
+    for n in sorted(int(n) for n in n_list):
+        x = np.log(trotter_lambda(gamma, t, n))
+        eps_n = float(np.exp(-Gamma * t / n)) if Gamma * t != 0 else 1.0
+        step = superoperator_at(ParameterPoint.easy_plane(x, gamma, eps_n)).matrix
+        step_u = superoperator_at(ParameterPoint.easy_plane(x, gamma, 1.0)).matrix
+        rows.append((n, float(np.linalg.norm(np.linalg.matrix_power(step_u, n) - ref_unitary)),
+                     float(np.linalg.norm(np.linalg.matrix_power(step, n) - ref))))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("gamma, Gamma, t, n_list", [
+    (np.pi / 4, 1.0, 1.0, [100, 200, 400]),
+    (np.pi / 4, 1.0, 1.0, [50]),
+    (np.pi / 4, 1.0, 1.0, [100, 100]),
+    (0.7, 2.3, 1.0, [400, 100, 800, 200]),
+    (2.9, 0.5, 0.8, [3, 7]),
+    (-1.1, 0.0, 1.3, [20, 40]),
+    (1.2, 0.5, 0.0, [10, 20]),
+])
+def test_stacked_trotter_steps_match_point_by_point(gamma, Gamma, t, n_list):
+    report = composite_trotter_check(gamma, Gamma, t, n_list)
+    assert report.rows == _trotter_rows_by_point(gamma, Gamma, t, n_list)
+
+
+def test_trotter_first_failing_step_decides_error():
+    # eps_n = e^(-Gamma t/n) underflows to 0 for the smallest n first
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\], got 0\.0$"):
+        composite_trotter_check(np.pi / 4, 1e3, 1.0, [1, 2])

@@ -3,10 +3,11 @@ import pytest
 
 from brickwork_ep import (EPRegime, Observable, ParameterPoint, analytic_spectrum,
                           classify_regime, coherence_probe,
-                          coherence_probe_adjoint, evolve, evolve_by_powers,
+                          coherence_probe_adjoint, evolve,
                           identity_observable, jordan_growth, observable_series,
                           reference_initial_state, sensing_coefficients,
-                          sensitivity_probe, superoperator_at)
+                          sensitivity_probe, superoperator_at, vectorize)
+from brickwork_ep.dynamics import _power_series
 
 from conftest import GAMMA_A, X_A, exact_ep_x, random_density
 
@@ -29,6 +30,13 @@ def test_evolution_preserves_trace_and_hermiticity():
     for st in states:
         assert abs(np.trace(st) - 1.0) < 1e-11
         assert np.abs(st - st.conj().T).max() < 1e-11
+
+
+def evolve_by_powers(s, rho0, steps):
+    """States at selected step counts via matrix powers (repeated squaring):
+    an independent route to check `evolve` against."""
+    v = np.asarray(rho0, dtype=complex).reshape(-1)
+    return [(np.linalg.matrix_power(s.matrix, int(n)) @ v).reshape(4, 4) for n in steps]
 
 
 def test_evolution_strategies_agree(rng):
@@ -211,3 +219,14 @@ def test_expansion_matches_series_for_dense_observable(rng):
     g = Observable("dense", rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     rec = observable_series(s, random_density(rng), g, 200)
     assert rec.expansion_deviation is not None and rec.expansion_deviation < 1e-8
+
+
+def test_underflowing_series_is_taken_in_extended_precision():
+    # at the EP the probe series falls below the smallest normal double
+    # before n = 2000 but not by n = 200
+    s = superoperator_at(ParameterPoint.easy_plane(X_STAR, GAMMA_A, 0.4))
+    rho0, g = reference_initial_state(), coherence_probe()
+    args = (vectorize(g.matrix.T), s.matrix, vectorize(rho0))
+    for n_max, dtype in ((200, complex), (2000, np.clongdouble)):
+        rec = observable_series(s, rho0, g, n_max, mu_rescale=1.0)
+        assert np.array_equal(rec.values, _power_series(*args, n_max, dtype))
