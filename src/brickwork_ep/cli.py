@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_TOLS, override_tolerances
+from .config import DEFAULT_TOLS, override_tolerances, point_failures
 from .continuum import composite_trotter_check, kraus_lindblad_spectral_map, trotter_lambda
 from .dynamics import (coherence_probe, coherence_probe_adjoint,
                        identity_observable, sensitivity_probe)
@@ -248,18 +248,16 @@ def cmd_bifurcate(args) -> int:
     fixed = (_resolve_point(args, epsilon=1.0) if args.sweep == "epsilon"
              else _resolve_point(args, x=0.0))
 
-    # each sweep value is checked as its own point, then the valid ones run as one stack
-    params = {k: getattr(fixed, k) for k in ("x", "gamma", "epsilon", "theta")}
-    values = []
-    for val in grid:
-        try:
-            check_denominators(*check_parameters(**{**params, args.sweep: float(val)}), tols)
-        except (SingularGateError, ValueError) as exc:
-            print(f"brickwork-ep: skipping {args.sweep} = {val:.6g}: {exc}", file=sys.stderr)
-            continue
-        values.append(float(val))
+    # one stacked pass checks every sweep value, then the valid ones run as one stack
+    params = {k: np.full(len(grid), getattr(fixed, k))
+              for k in ("x", "gamma", "epsilon", "theta")} | {args.sweep: grid}
+    with point_failures() as failed:
+        check_denominators(*check_parameters(**params), tols)
+    for i, exc in sorted(failed.items()):
+        print(f"brickwork-ep: skipping {args.sweep} = {grid[i]:.6g}: {exc}", file=sys.stderr)
+    stack = {k: np.delete(v, list(failed)) for k, v in params.items()}
+    values = stack[args.sweep]
     n = len(values)
-    stack = {k: np.full(n, v) for k, v in params.items()} | {args.sweep: np.array(values)}
     taus = block_reduce(assemble(*gate_stack(**stack, tols=tols)[:3]), tols)
     evals = np.stack([np.linalg.eigvals(tau) for tau in taus], axis=1)   # (n, 2, 8)
     order = np.lexsort((evals.imag, evals.real), axis=-1)

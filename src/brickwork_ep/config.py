@@ -2,8 +2,11 @@
 
 Every threshold used by the package lives here so that sweeps, tests and
 the CLI agree on one set of defaults and can override them in one place.
+Stacked checks fail through `raise_first`, which `point_failures` turns into per-point records.
 """
 
+import contextlib
+import contextvars
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -54,7 +57,28 @@ def override_tolerances(base: Tolerances, **overrides: float) -> Tolerances:
     return replace(base, **overrides)
 
 
+_POINT_FAILURES = contextvars.ContextVar("point_failures", default=None)
+
+
+@contextlib.contextmanager
+def point_failures():
+    """Scope in which stacked checks record failing points instead of raising,
+    yielding {point index: error of its first failing check}.  Failed points
+    run on through later checks, so floating-point errors are ignored inside."""
+    token = _POINT_FAILURES.set({})
+    try:
+        with np.errstate(all="ignore"):
+            yield _POINT_FAILURES.get()
+    finally:
+        _POINT_FAILURES.reset(token)
+
+
 def raise_first(failed, error):
-    """Raise error(i) for the first point i of a stacked check where `failed` holds."""
-    if np.count_nonzero(failed):
+    """Raise error(i) for the first point i of a stacked check where `failed`
+    holds; inside `point_failures`, record it for each such point instead."""
+    recorded = _POINT_FAILURES.get()
+    if recorded is not None:
+        for i in np.flatnonzero(failed).tolist():
+            recorded.setdefault(i, error(i))   # an earlier check's error stays
+    elif np.count_nonzero(failed):
         raise error(int(np.argmax(failed)))

@@ -142,8 +142,8 @@ def observable_series(s: Superoperator, rho0: np.ndarray, g: Observable, n_max: 
         values = _power_series(g_vec, s.matrix, rho_vec, n_max, np.clongdouble)
 
     expansion_deviation = None
-    es = eig_general(s.matrix, tols)
-    if not es.near_defective and _discriminant_regime(s.point, tols) is not EPRegime.AT_EP:
+    if (_discriminant_regime(s.point, tols) is not EPRegime.AT_EP   # no eigensolve at the EP
+            and not (es := eig_general(s.matrix, tols)).near_defective):
         w_h = es.left.conj().T
         alpha = (w_h @ rho_vec) / np.einsum("ij,ji->i", w_h, es.right)
         series = _power_series(g_vec @ es.right, np.diag(es.eigenvalues), alpha, n_max)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, Tolerances, raise_first
 
 
 class EigenDecompositionError(RuntimeError):
@@ -181,9 +181,11 @@ def jordan_certificate(block, tols: Tolerances = DEFAULT_TOLS) -> JordanCertific
     (row) eigenvectors (c, mu - a) or (mu - d, b).  The traceless part N
     satisfies N^2 = (s^2/4) I.  A multiple of the identity (N = 0) is not
     defective: every vector is an eigenvector.  One block gives Python
-    scalars.
+    scalars.  Non-finite blocks fail through `raise_first`, one check per block.
     """
-    block = _as_complex(block)
+    block = np.asarray(block, dtype=complex)
+    raise_first(np.ravel(~np.isfinite(block).all(axis=(-2, -1))),
+                lambda i: ValueError("matrix contains non-finite entries"))
     a, b, c, d = block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1]
     nn2 = abs(a - d) ** 2 / 2 + abs(b) ** 2 + abs(c) ** 2   # ||N||^2
     s = np.sqrt((a - d) ** 2 + 4.0 * b * c)

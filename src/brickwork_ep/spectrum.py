@@ -12,22 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances, raise_first
+from .config import DEFAULT_TOLS, Tolerances, point_failures, raise_first
 from .gates import (ParameterPoint, ParameterRegime, _checked_gate_stack, check_denominators,
                     check_parameters)
 from .linalg import JordanCertificate, jordan_certificate
 from .superop import (COMPLETION_INDICES, PAIR_INDICES, UnsupportedRegimeError, assemble,
                       block_reduce, completion_blocks, pair_block, pair_splitting_sqrt,
                       pair_sum_coeff, superoperator_at)
-
-
-def _closed_form_inputs(point: ParameterPoint, tols: Tolerances):
-    """(lam, q, eps, Q) of a theta = 0 point whose denominators do not vanish."""
-    if not point.superintegrable:
-        raise UnsupportedRegimeError("closed forms require theta = 0")
-    lam, q, eps = point.lam, point.q, point.epsilon
-    check_denominators(lam, q, tols)
-    return lam, q, eps, pair_splitting_sqrt(lam, q, eps)
 
 
 def _f_pm(lam, q, eps, Q):
@@ -49,7 +40,6 @@ class AnalyticSpectrum:
     mu: np.ndarray          # shape (16,), complex
     Q: complex              # square-root quantity; zero exactly on the EP manifold
     f: complex              # (q^2-1)(eps+1)
-    A: float | None         # real easy-plane discriminant, None outside easy plane
     point: ParameterPoint
 
     @property
@@ -103,10 +93,7 @@ def analytic_spectrum(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) ->
     if not point.superintegrable:
         raise UnsupportedRegimeError("closed forms require theta = 0")
     mu, Q = _closed_forms(point.x, point.gamma, point.epsilon, tols)
-    A = None
-    if point.regime is ParameterRegime.EASY_PLANE:
-        A = ep_discriminant(float(np.real(point.x)), float(np.real(point.gamma)), point.epsilon)
-    return AnalyticSpectrum(mu=mu[0], Q=Q[0], f=pair_sum_coeff(point.q, point.epsilon), A=A,
+    return AnalyticSpectrum(mu=mu[0], Q=Q[0], f=pair_sum_coeff(point.q, point.epsilon),
                             point=point)
 
 
@@ -174,7 +161,7 @@ class EPScan:
 def _certify(x, gamma, eps, regime: ParameterRegime, tols: Tolerances) -> EPScan:
     """Dual certification of each point of a theta = 0 stack: discriminant
     zero and a defective pair block.  The checks run in the order one point
-    meets them, each raising for its first failing point."""
+    meets them, each raising for its first failing point (`raise_first`)."""
     x, gamma, eps = (np.array(v, copy=None, ndmin=1) for v in (x, gamma, eps))
     lam, q = check_parameters(x, gamma, eps, 0.0)
     mu, _ = _closed_forms(x, gamma, eps, tols)
@@ -205,37 +192,22 @@ def ep_scan(gamma_grid, x_grid, tols: Tolerances = DEFAULT_TOLS) -> EPScan:
 
     Nothing is skipped.  Grid columns at multiples of pi are rejected up
     front; any other failing point ends the scan with the error of a
-    point-by-point scan: the first failing point in (gamma, x) order
-    decides, and within it the first failing check.  So a point whose
-    critical epsilon underflows to 0 (|x| >~ 355) raises `ValueError`, one
-    whose closed forms overflow (|x| >~ 178) `FloatingPointError`.
+    point-by-point scan.  The pass records each point's first failing check
+    (`point_failures`); the first failing point in (gamma, x) order decides.
+    So critical epsilon underflowing to 0 (|x| >~ 355) raises `ValueError`,
+    closed forms overflowing (|x| >~ 178) `FloatingPointError`.
     """
     gamma_grid = np.sort(np.array(gamma_grid, dtype=float, ndmin=1))
     x_grid = np.sort(np.array(x_grid, dtype=float, ndmin=1))
     if np.any(np.abs(np.sin(gamma_grid)) < 1e-12):
         raise ValueError("gamma grid contains a multiple of pi")
     gamma, x = (g.ravel() for g in np.meshgrid(gamma_grid, x_grid, indexing="ij"))
-    eps = critical_epsilon(x_grid[None, :], gamma_grid[:, None]).ravel()
-
-    def certify(n):
-        return _certify(x[:n], gamma[:n], eps[:n], ParameterRegime.EASY_PLANE, tols)
-
-    failures = (ValueError, ArithmeticError, AssertionError, RuntimeError)
-    try:
-        return certify(len(x))
-    except failures as exc:
-        # each check raises for its own first failing point, so the
-        # shortest failing prefix ends at the first failing point, and its
-        # error is that point's first failing check
-        error, passing, failing = exc, 0, len(x)
-        while failing - passing > 1:
-            mid = (passing + failing) // 2
-            try:
-                certify(mid)
-                passing = mid
-            except failures as exc_mid:
-                error, failing = exc_mid, mid
-        raise error from None
+    with point_failures() as failed:
+        eps = critical_epsilon(x_grid[None, :], gamma_grid[:, None]).ravel()
+        scan = _certify(x, gamma, eps, ParameterRegime.EASY_PLANE, tols)
+        if failed:
+            raise failed[min(failed)]
+    return scan
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +244,8 @@ class ClosedFormVectors:
 def closed_form_right_vectors(point: ParameterPoint,
                               tols: Tolerances = DEFAULT_TOLS) -> ClosedFormVectors:
     """Eigenvectors of the theta = 0 step for labels {1..6, 9, 10, 13, 14}."""
-    lam, q, eps, Q = _closed_form_inputs(point, tols)
+    Q = analytic_spectrum(point, tols).Q   # theta = 0 and denominator checks
+    lam, q, eps = point.lam, point.q, point.epsilon
     F = (1.0 - q * q) * (eps - 1.0) * lam / (q * (lam * lam - 1.0))
     f_minus, f_plus = _f_pm(lam, q, eps, Q)
 
@@ -301,7 +274,8 @@ def closed_form_left_vectors(point: ParameterPoint,
     w C (mu - D)^{-1} (see `superop.completion_blocks`).  Normalization:
     bilinear contraction with the matching right vector equals one.
     """
-    lam, q, eps, Q = _closed_form_inputs(point, tols)
+    spec = analytic_spectrum(point, tols)   # theta = 0 and denominator checks
+    lam, q, eps, Q = point.lam, point.q, point.epsilon, spec.Q
     if _coalesced(lam, q, Q, tols):
         raise UnsupportedRegimeError("biorthogonal left vectors do not exist at the EP")
     f_minus, f_plus = _f_pm(lam, q, eps, Q)
@@ -312,10 +286,9 @@ def closed_form_left_vectors(point: ParameterPoint,
     out[16] = -pref * _on(COMPLETION_INDICES, (1.0, -f_plus))
 
     C, D = completion_blocks(superoperator_at(point, tols).matrix, tols)
-    mu = analytic_spectrum(point, tols).mu
     for label, fpm in ((9, f_minus), (10, f_plus)):
         pair = np.array([1.0, fpm])
-        rest = np.linalg.solve(mu[label - 1] * np.eye(2) - D.T, C.T @ pair)
+        rest = np.linalg.solve(spec.mu[label - 1] * np.eye(2) - D.T, C.T @ pair)
         w = _on(PAIR_INDICES + COMPLETION_INDICES, (*pair, *rest))
         out[label] = w / (1.0 + fpm * fpm / eps)
     return out
@@ -343,7 +316,8 @@ def sensing_coefficients(point: ParameterPoint,
     gamma9 = g-/(2(4+g-)), gamma10 = g+/(2(4+g+)), with
     g+- = (lam(q^2-1)(eps-1) +- Q)^2 / ((lam^2-1)^2 q^2 eps) = 4 f+-^2 / eps.
     """
-    lam, q, eps, Q = _closed_form_inputs(point, tols)
+    Q = analytic_spectrum(point, tols).Q   # theta = 0 and denominator checks
+    lam, q, eps = point.lam, point.q, point.epsilon
     if abs(lam * lam - 1.0) < 1e-12:
         raise ValueError("coefficients are singular at lambda = 1")
     f_minus, f_plus = _f_pm(lam, q, eps, Q)

@@ -36,3 +36,19 @@ def exact_ep_x(eps0, gamma):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps module.name for the test and returns
+    the list its calls append to."""
+    def wrap(module, name):
+        calls, fn = [], getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+    return wrap

@@ -375,7 +375,7 @@ def test_evolve_negative_delta_exit_code(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("x_grid, code", [("200:400:3", 3), ("400:500:2", 2)])
+@pytest.mark.parametrize("x_grid, code", [("200:400:3", 3), ("400:500:2", 2), ("200:800:2", 3)])
 def test_ep_scan_first_failing_point_decides_exit_code(tmp_path, x_grid, code):
     # x = 200 overflows the closed forms (exit 3) before x = 400 underflows
     # the critical epsilon (exit 2), as in a point-by-point scan

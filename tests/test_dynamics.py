@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from brickwork_ep import (EPRegime, Observable, ParameterPoint, analytic_spectrum,
-                          classify_regime, coherence_probe,
+                          classify_regime, coherence_probe, critical_epsilon,
                           coherence_probe_adjoint, evolve,
                           identity_observable, jordan_growth, observable_series,
                           reference_initial_state, sensing_coefficients,
                           sensitivity_probe, superoperator_at, vectorize)
+from brickwork_ep import dynamics
 from brickwork_ep.dynamics import _power_series
 
 from conftest import GAMMA_A, X_A, exact_ep_x, random_density
@@ -230,3 +231,14 @@ def test_underflowing_series_is_taken_in_extended_precision():
     for n_max, dtype in ((200, complex), (2000, np.clongdouble)):
         rec = observable_series(s, rho0, g, n_max, mu_rescale=1.0)
         assert np.array_equal(rec.values, _power_series(*args, n_max, dtype))
+
+
+@pytest.mark.parametrize("epsilon, solves", [("ep", 0), (0.2, 1)])
+def test_eigensystem_only_off_the_ep(count_calls, epsilon, solves):
+    calls = count_calls(dynamics, "eig_general")
+    if epsilon == "ep":
+        epsilon = critical_epsilon(X_A, GAMMA_A)
+    s = superoperator_at(ParameterPoint.easy_plane(X_A, GAMMA_A, epsilon))
+    rec = observable_series(s, reference_initial_state(), coherence_probe(), 50)
+    assert len(calls) == solves
+    assert (rec.expansion_deviation is None) == (solves == 0)

@@ -5,7 +5,9 @@ from brickwork_ep import (ParameterPoint, ParameterRegime, SingularGateError,
                           build_gate_set, coupling_gate, local_phase_gate,
                           relaxation_channel_spectrum, relaxation_kraus,
                           relaxation_steps)
-from brickwork_ep.gates import I2, I4, PROJ_UP, SIGMA_Z, SIGMA_ZZ, apply_relaxation
+from brickwork_ep.config import DEFAULT_TOLS, point_failures
+from brickwork_ep.gates import (I2, I4, PROJ_UP, SIGMA_Z, SIGMA_ZZ, apply_relaxation,
+                                check_denominators, check_parameters)
 
 from conftest import GAMMA_A, X_A, random_density
 
@@ -137,3 +139,20 @@ def test_parameter_point_validation():
     with pytest.raises(ValueError):
         ParameterPoint(x=0.1 + 0.2j, gamma=0.5, epsilon=0.5,
                        regime=ParameterRegime.EASY_PLANE)
+
+
+def test_point_failures_records_each_points_first_failing_check():
+    # point 2 fails the epsilon check before its lambda overflows; point 4
+    # (q^2 = lam^2 = 1) only the denominator check
+    x = [0.3, np.nan, 800.0, 0.2, 0.0]
+    gamma = [0.7, 0.7, 0.7, 0.7, 1e-14]
+    epsilon = [0.5, 0.5, 1.5, 0.5, 0.5]
+    with point_failures() as failed:
+        check_denominators(*check_parameters(x, gamma, epsilon, 0.0), DEFAULT_TOLS)
+    assert sorted(failed) == [1, 2, 4]
+    assert str(failed[1]) == "non-finite parameter"
+    assert str(failed[2]) == "epsilon must lie in (0, 1], got 1.5"
+    assert type(failed[4]) is SingularGateError
+    # outside the scope the first failing point raises
+    with pytest.raises(ValueError, match="non-finite"):
+        check_parameters(x, gamma, epsilon, 0.0)

@@ -6,6 +6,7 @@ from brickwork_ep import (ParameterPoint, UnsupportedRegimeError,
                           closed_form_right_vectors, critical_epsilon,
                           ep_discriminant, ep_scan, match_spectra,
                           sensing_coefficients, superoperator_at, vectorize)
+from brickwork_ep import spectrum
 from brickwork_ep.dynamics import coherence_probe, reference_initial_state
 
 from conftest import GAMMA_A, X_A, exact_ep_x, random_easy_plane_point
@@ -150,6 +151,46 @@ def test_ep_scan_rejects_bad_gamma():
         ep_scan([0.0, GAMMA_A], [0.3])
 
 
+def first_point_error(gammas, xs):
+    """The error of a point-by-point scan: `certify_ep` at each grid point in
+    (gamma, x) order, the first failure deciding."""
+    with np.errstate(all="ignore"):
+        for gamma in sorted(gammas):
+            for x in sorted(xs):
+                try:
+                    certify_ep(ParameterPoint.easy_plane(x, gamma, critical_epsilon(x, gamma)))
+                except (ValueError, ArithmeticError, AssertionError, RuntimeError) as exc:
+                    return exc
+    return None
+
+
+@pytest.mark.parametrize("xs, error", [
+    # x = 200 overflows the closed forms; from x = 400 the critical epsilon underflows to 0
+    (np.linspace(200, 400, 3), FloatingPointError),
+    (np.linspace(400, 500, 2), ValueError),
+    # past |x| ~ 709 lambda overflows and the pair blocks of failed points are not finite
+    (np.linspace(200, 800, 2), FloatingPointError),
+    (np.linspace(400, 800, 2), ValueError),
+])
+def test_ep_scan_error_is_first_failing_point_in_one_pass(count_calls, xs, error):
+    gammas = np.linspace(0.5, 1.0, 2)
+    expected = first_point_error(gammas, xs)
+    calls = count_calls(spectrum, "_certify")
+    with pytest.raises(error) as info:
+        ep_scan(gammas, xs)
+    assert type(info.value) is type(expected) and str(info.value) == str(expected)
+    assert len(calls) == 1
+
+
+def test_point_failures_scope_ends_with_a_failed_scan():
+    errstate = np.geterr()
+    with pytest.raises(ValueError):
+        ep_scan([0.5, 1.0], [400.0, 500.0])
+    assert np.geterr() == errstate
+    with pytest.raises(ValueError):
+        ParameterPoint.easy_plane(0.3, 0.7, 1.5)
+
+
 def test_closed_form_right_vectors_are_eigenvectors():
     point = ParameterPoint.easy_plane(X_A, GAMMA_A, 0.32)
     s = superoperator_at(point)
@@ -267,3 +308,9 @@ def test_certify_ep_at_fig4_parameters():
     assert rec.certified
     assert rec.certificate.gap <= 1e-6
     assert rec.certificate.min_overlap < 1e-6
+
+
+def test_closed_form_left_vectors_evaluate_the_closed_forms_once(count_calls):
+    calls = count_calls(spectrum, "pair_splitting_sqrt")
+    closed_form_left_vectors(ParameterPoint.easy_plane(X_A, GAMMA_A, 0.32))
+    assert len(calls) == 1
