@@ -30,8 +30,7 @@ from .spectrum import (AnalyticSpectrum, ClosedFormVectors, EPRecord, EPScan,
                        critical_epsilon, ep_discriminant, ep_scan,
                        sensing_coefficients)
 from .superop import (CharFactorReport, EVEN_INDICES, ODD_INDICES, Superoperator,
-                      SymmetryViolationError, UnsupportedRegimeError, apply_step,
-                      assemble, block_reduce, build_superoperator, choi_matrix,
-                      choi_min_eigenvalue, embed_blocks, factored_char_poly,
-                      pair_block, parity_projectors, steady_state, superoperator_at,
+                      SymmetryViolationError, UnsupportedRegimeError, assemble,
+                      block_reduce, build_superoperator, choi_matrix, choi_min_eigenvalue,
+                      factored_char_poly, pair_block, steady_state, superoperator_at,
                       trace_preservation_defect)

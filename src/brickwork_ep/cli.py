@@ -57,6 +57,12 @@ def _fmt(x) -> str:
     return _cells([x])[0]
 
 
+def _repeated_cells(values, repeats: int = 1, tiles: int = 1) -> np.ndarray:
+    """The cells of np.tile(np.repeat(values, repeats), tiles), each distinct
+    value formatted once; `write_table` passes string cells through."""
+    return np.tile(np.repeat(_cells(values), repeats), tiles)
+
+
 def write_table(path: str, fmt: str, metadata: dict, columns: list[str], data):
     """Write a table as CSV or JSON.  `data` holds one sequence (array or
     list) per column, all of one length; each column is formatted by one
@@ -233,9 +239,13 @@ def cmd_ep_scan(args) -> int:
     meta = _base_metadata(args)
     meta["regime"] = "easy-plane"
     meta["records"] = len(scan.gamma)
+    # the rows run over the sorted grids, gamma outer and x inner
+    nx = len(xs)
     write_table(_output_path(args, "ep_scan.csv"), args.format, meta,
                 ["gamma", "x", "epsilon_ep", "re_mu0", "im_mu0", "certified"],
-                [scan.gamma, scan.x, scan.epsilon, scan.mu0.real, scan.mu0.imag, scan.certified])
+                [_repeated_cells(scan.gamma[::nx], repeats=nx),
+                 _repeated_cells(scan.x[:nx], tiles=len(gammas)),
+                 scan.epsilon, scan.mu0.real, scan.mu0.imag, scan.certified])
     return EXIT_OK
 
 
@@ -262,8 +272,8 @@ def cmd_bifurcate(args) -> int:
     evals = np.stack([np.linalg.eigvals(tau) for tau in taus], axis=1)   # (n, 2, 8)
     order = np.lexsort((evals.imag, evals.real), axis=-1)
     evals = np.take_along_axis(evals, order, axis=-1).ravel()
-    data = [np.repeat(values, 16), np.tile(np.repeat(["plus", "minus"], 8), n),
-            np.tile(np.arange(1, 9), 2 * n), evals.real, evals.imag,
+    data = [_repeated_cells(values, repeats=16), np.tile(np.repeat(["plus", "minus"], 8), n),
+            _repeated_cells(np.arange(1, 9), tiles=2 * n), evals.real, evals.imag,
             list(map(abs, evals.tolist()))]   # scalar abs: np.abs differs in the last bit
     meta = _base_metadata(args)
     meta["skipped"] = len(grid) - n
@@ -290,7 +300,7 @@ def cmd_evolve(args) -> int:
     for tag, rec in zip(tags, records):
         meta[f"regime-{tag}"] = rec.regime.value if rec.regime else "inconclusive"
     values = np.concatenate([rec.values for rec in records])
-    data = [np.repeat(tags, args.n_max + 1), np.tile(np.arange(args.n_max + 1), 3),
+    data = [np.repeat(tags, args.n_max + 1), _repeated_cells(np.arange(args.n_max + 1), tiles=3),
             values.real, values.imag, np.concatenate([rec.rescaled for rec in records])]
     write_table(_output_path(args, "evolve.csv"), args.format, meta,
                 ["series", "n", "re_g", "im_g", "rescaled"], data)

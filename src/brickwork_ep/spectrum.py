@@ -17,8 +17,8 @@ from .gates import (ParameterPoint, ParameterRegime, _checked_gate_stack, check_
                     check_parameters)
 from .linalg import JordanCertificate, jordan_certificate
 from .superop import (COMPLETION_INDICES, PAIR_INDICES, UnsupportedRegimeError, assemble,
-                      block_reduce, completion_blocks, pair_block, pair_splitting_sqrt,
-                      pair_sum_coeff, superoperator_at)
+                      completion_blocks, pair_block, pair_splitting_sqrt, pair_sum_coeff,
+                      superoperator_at)
 
 
 def _f_pm(lam, q, eps, Q):
@@ -61,23 +61,24 @@ def _closed_forms(x, gamma, eps, tols: Tolerances):
     x, gamma, eps = (np.array(v, copy=None, ndmin=1) for v in (x, gamma, eps))
     lam, q = np.exp(x), np.exp(1j * gamma)
     check_denominators(lam, q, tols)
-    Q = pair_splitting_sqrt(lam, q, eps)
-    fl = pair_sum_coeff(q, eps) * lam
-    dm = lam * lam * q * q - 1.0
-    dp = q * q - lam * lam
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by the finiteness check
+        Q = pair_splitting_sqrt(lam, q, eps)
+        fl = pair_sum_coeff(q, eps) * lam
+        dm = lam * lam * q * q - 1.0
+        dp = q * q - lam * lam
 
-    mu = np.empty(Q.shape + (16,), dtype=complex)
-    mu[:, 0] = 1.0
-    mu[:, 1] = eps**2
-    mu[:, 2:6] = eps[:, None]
-    mu[:, 6] = (Q - fl) ** 2 / (4.0 * dp * dm)
-    mu[:, 7] = (Q + fl) ** 2 / (4.0 * dp * dm)
-    mu[:, 8] = (fl - Q) / (2.0 * dm)
-    mu[:, 9] = (fl + Q) / (2.0 * dm)
-    mu[:, 12] = (fl - Q) / (2.0 * dp)
-    mu[:, 13] = (fl + Q) / (2.0 * dp)
-    mu[:, 10:12] = eps[:, None] * mu[:, 8:10]
-    mu[:, 14:16] = eps[:, None] * mu[:, 12:14]
+        mu = np.empty(Q.shape + (16,), dtype=complex)
+        mu[:, 0] = 1.0
+        mu[:, 1] = eps**2
+        mu[:, 2:6] = eps[:, None]
+        mu[:, 6] = (Q - fl) ** 2 / (4.0 * dp * dm)
+        mu[:, 7] = (Q + fl) ** 2 / (4.0 * dp * dm)
+        mu[:, 8] = (fl - Q) / (2.0 * dm)
+        mu[:, 9] = (fl + Q) / (2.0 * dm)
+        mu[:, 12] = (fl - Q) / (2.0 * dp)
+        mu[:, 13] = (fl + Q) / (2.0 * dp)
+        mu[:, 10:12] = eps[:, None] * mu[:, 8:10]
+        mu[:, 14:16] = eps[:, None] * mu[:, 12:14]
     raise_first(~np.isfinite(mu).all(axis=1), lambda i: FloatingPointError(
         f"closed forms overflow at x = {x[i]}, gamma = {gamma[i]}"))
     return mu, Q
@@ -166,8 +167,7 @@ def _certify(x, gamma, eps, regime: ParameterRegime, tols: Tolerances) -> EPScan
     lam, q = check_parameters(x, gamma, eps, 0.0)
     mu, _ = _closed_forms(x, gamma, eps, tols)
     T = assemble(*_checked_gate_stack(lam, q, eps, 0.0, tols, regime)[:3])
-    block_reduce(T, tols)   # the parity check of every assembled step
-    cert = jordan_certificate(pair_block(T, tols), tols)
+    cert = jordan_certificate(pair_block(T, tols), tols)   # parity, then pair-leak checks
     a_res = (np.abs(ep_discriminant(np.real(x), np.real(gamma), eps))
              if regime is ParameterRegime.EASY_PLANE else np.full(len(mu), np.inf))
     certified = (a_res <= tols.ep_discriminant) & (cert.gap <= tols.ep_gap) & cert.defective

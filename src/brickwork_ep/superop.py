@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances, raise_first
 from .gates import GateSet, ParameterPoint, SIGMA_ZZ, build_gate_set
-from .linalg import devectorize, eig_general, kron, match_spectra, vectorize
+from .linalg import devectorize, eig_general, match_spectra, vectorize
 
 
 class SymmetryViolationError(RuntimeError):
@@ -28,17 +28,6 @@ EVEN_INDICES = tuple(int(i) for i in np.flatnonzero(_PARITY_DIAG > 0))
 ODD_INDICES = tuple(int(i) for i in np.flatnonzero(_PARITY_DIAG < 0))
 
 
-def parity_projectors():
-    """The complementary projectors (1/2)(I16 +/- sigma_zz x sigma_zz).
-
-    Test oracle for the index split: `block_reduce` reads the cross-parity
-    blocks directly instead.
-    """
-    P = np.kron(SIGMA_ZZ, SIGMA_ZZ)
-    I16 = np.eye(16, dtype=complex)
-    return (I16 + P) / 2, (I16 - P) / 2
-
-
 @dataclass(frozen=True)
 class Superoperator:
     """One full brickwork step acting on vectorized 4x4 operators."""
@@ -51,18 +40,6 @@ class Superoperator:
     cptp_guaranteed: bool        # coupling gate passed the unitarity check
 
 
-def apply_step(g: GateSet, rho: np.ndarray) -> np.ndarray:
-    """Direct one-step action U (sum_j (K_j x V) rho (K_j x V)^dag) U^dag.
-
-    Independent of the vectorized route; used as its cross-check.
-    """
-    out = np.zeros((4, 4), dtype=complex)
-    for K in (g.K1, g.K2):
-        M = kron(K, g.V)
-        out += M @ rho @ M.conj().T
-    return g.U @ out @ g.U.conj().T
-
-
 def _block(rows, cols):
     """Index of the (rows, cols) sub-block of a matrix or of each of a stack."""
     return (...,) + np.ix_(rows, cols)
@@ -73,17 +50,20 @@ def _indicator(indices) -> np.ndarray:
     return np.isin(np.arange(16), indices)
 
 
-_CROSS_PARITY = np.not_equal.outer(_PARITY_DIAG > 0, _PARITY_DIAG > 0)
+_PARITY_CHECK = (np.not_equal.outer(_PARITY_DIAG > 0, _PARITY_DIAG > 0), "parity commutator")
 
 
-def _check_zero(matrix: np.ndarray, zero: np.ndarray, tols: Tolerances, what: str):
-    """Raise SymmetryViolationError if the entries of the mask `zero`, which
-    the structure forces to zero, are not; each matrix at its own scale."""
+def _check_zero(matrix: np.ndarray, tols: Tolerances, *checks):
+    """Raise SymmetryViolationError if the entries of a mask, which the
+    structure forces to zero, are not; each matrix at its own scale.  The
+    (mask, what) `checks` run in order on one |matrix|."""
     a = np.abs(matrix)
-    leak = (a * zero).max(axis=(-2, -1))
-    raise_first(leak > tols.parity_commutator * np.maximum(1.0, a.max(axis=(-2, -1))),
-                lambda i: SymmetryViolationError(f"{what} {np.ravel(leak)[i]:.3e} exceeds "
-                                                 f"tolerance {tols.parity_commutator:.1e}"))
+    bound = tols.parity_commutator * np.maximum(1.0, a.max(axis=(-2, -1)))
+    for zero, what in checks:
+        leak = (a * zero).max(axis=(-2, -1))
+        raise_first(leak > bound,
+                    lambda i: SymmetryViolationError(f"{what} {np.ravel(leak)[i]:.3e} exceeds "
+                                                     f"tolerance {tols.parity_commutator:.1e}"))
 
 
 def block_reduce(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
@@ -95,7 +75,7 @@ def block_reduce(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     commutator's entries are the cross-parity entries up to sign, so those
     are checked directly.
     """
-    _check_zero(matrix, _CROSS_PARITY, tols, "parity commutator")
+    _check_zero(matrix, tols, _PARITY_CHECK)
     return matrix[_block(EVEN_INDICES, EVEN_INDICES)], matrix[_block(ODD_INDICES, ODD_INDICES)]
 
 
@@ -109,8 +89,9 @@ _INTO_PAIR = np.outer(~_indicator(PAIR_INDICES), _indicator(PAIR_INDICES))
 
 def pair_block(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """The invariant 2x2 block T[pair, pair], of a map or of each of a stack.
-    Raises SymmetryViolationError if another row reads the pair's columns."""
-    _check_zero(matrix, _INTO_PAIR, tols, "leak into the pair block")
+    Raises SymmetryViolationError if the map breaks parity (`block_reduce`'s
+    check) or, after that, if another row reads the pair's columns."""
+    _check_zero(matrix, tols, _PARITY_CHECK, (_INTO_PAIR, "leak into the pair block"))
     return matrix[_block(PAIR_INDICES, PAIR_INDICES)]
 
 
@@ -124,26 +105,21 @@ def completion_blocks(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     both = _indicator(PAIR_INDICES + COMPLETION_INDICES)
     into_pair = np.outer(_indicator(COMPLETION_INDICES), _indicator(PAIR_INDICES))
     zero = np.outer(both, ~both) | into_pair
-    _check_zero(matrix, zero, tols, "leak out of the completion block")
+    _check_zero(matrix, tols, (zero, "leak out of the completion block"))
     return (matrix[_block(PAIR_INDICES, COMPLETION_INDICES)],
             matrix[_block(COMPLETION_INDICES, COMPLETION_INDICES)])
-
-
-def embed_blocks(tau_plus: np.ndarray, tau_minus: np.ndarray) -> np.ndarray:
-    """Lift the two parity blocks back into the 16-dimensional space."""
-    T = np.zeros((16, 16), dtype=complex)
-    T[np.ix_(EVEN_INDICES, EVEN_INDICES)] = tau_plus
-    T[np.ix_(ODD_INDICES, ODD_INDICES)] = tau_minus
-    return T
 
 
 def assemble(U: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The vectorized step T = sum_m W_m x W_m^* with W_m = U (K_m x V), from
     U (..., 4, 4), the Kraus pair K (..., 2, 2, 2) and V (..., 2, 2): a stack
-    of N steps gives (N, 16, 16)."""
+    of N steps gives (N, 16, 16).  The sum over m is one matmul of the
+    flattened W_m, whose (ij, kl) entries are then reordered to (ik, jl)."""
+    n = U.shape[:-2]
     KV = np.einsum("...mij,...kl->...mikjl", K, V).reshape(K.shape[:-2] + (4, 4))
-    W = U[..., None, :, :] @ KV
-    return np.einsum("...mij,...mkl->...ikjl", W, W.conj()).reshape(U.shape[:-2] + (16, 16))
+    W = (U[..., None, :, :] @ KV).reshape(n + (2, 16))
+    T = W.swapaxes(-1, -2) @ W.conj()
+    return T.reshape(n + (4, 4, 4, 4)).swapaxes(-3, -2).reshape(n + (16, 16))
 
 
 def build_superoperator(g: GateSet, tols: Tolerances = DEFAULT_TOLS) -> Superoperator:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -307,7 +308,6 @@ def test_ep_scan_grid_ending_at_half_pi(tmp_path):
     assert len(rows) == 9 and all(r[5] == "true" for r in rows)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ep_scan_non_finite_closed_forms_exit_code(tmp_path):
     out = tmp_path / "scan.csv"
     code = run(["ep-scan", "--gamma-grid", "0.5:1:2", "--x-grid", "200:201:2",
@@ -331,12 +331,23 @@ def test_bad_parameter_values_exit_code(tmp_path, args):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_spectrum_non_finite_closed_forms_exit_code(tmp_path):
     out = tmp_path / "spec.csv"
     code = run(["spectrum", "--gamma", 0.7, "--x", 200, "--epsilon", 0.5, "--output", out])
     assert code == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, epsilon", [("spectrum", "--epsilon"), ("evolve", "--epsilon0")])
+def test_overflowing_closed_forms_print_only_the_notice(tmp_path, capsys, command, epsilon):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([command, "--gamma", 0.7, "--x", 200, epsilon, 0.5,
+                    "--output", tmp_path / "out.csv"])
+    assert code == 3
+    assert caught == []
+    assert capsys.readouterr().err == ("brickwork-ep: numerical failure: closed forms overflow "
+                                       "at x = 200.0, gamma = 0.7\n")
 
 
 @pytest.mark.parametrize("x", [800, -800])
@@ -374,7 +385,6 @@ def test_evolve_negative_delta_exit_code(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("x_grid, code", [("200:400:3", 3), ("400:500:2", 2), ("200:800:2", 3)])
 def test_ep_scan_first_failing_point_decides_exit_code(tmp_path, x_grid, code):
     # x = 200 overflows the closed forms (exit 3) before x = 400 underflows

@@ -1,16 +1,53 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brickwork_ep import (ParameterPoint, SymmetryViolationError,
-                          UnsupportedRegimeError, analytic_spectrum, apply_step, assemble,
+from brickwork_ep import (GateSet, ParameterPoint, ParameterRegime, SymmetryViolationError,
+                          UnsupportedRegimeError, analytic_spectrum, assemble,
                           block_reduce, build_gate_set, choi_min_eigenvalue, gate_stack,
-                          devectorize, embed_blocks, factored_char_poly,
-                          match_spectra, parity_projectors, steady_state,
+                          devectorize, factored_char_poly, kron,
+                          match_spectra, steady_state,
                           superoperator_at, trace_preservation_defect, vectorize)
+from brickwork_ep.config import point_failures
+from brickwork_ep.gates import SIGMA_ZZ
 from brickwork_ep.superop import (COMPLETION_INDICES, EVEN_INDICES, ODD_INDICES,
                                   PAIR_INDICES, completion_blocks, pair_block)
 
 from conftest import GAMMA_A, X_A, exact_ep_x, random_density, random_easy_plane_point
+
+
+def apply_step(g: GateSet, rho: np.ndarray) -> np.ndarray:
+    """Direct one-step action U (sum_j (K_j x V) rho (K_j x V)^dag) U^dag,
+    independent of the vectorized route."""
+    out = np.zeros((4, 4), dtype=complex)
+    for K in (g.K1, g.K2):
+        M = kron(K, g.V)
+        out += M @ rho @ M.conj().T
+    return g.U @ out @ g.U.conj().T
+
+
+def parity_projectors():
+    """The complementary projectors (1/2)(I16 +/- sigma_zz x sigma_zz): the
+    oracle for the index split `block_reduce` reads directly."""
+    P = np.kron(SIGMA_ZZ, SIGMA_ZZ)
+    I16 = np.eye(16, dtype=complex)
+    return (I16 + P) / 2, (I16 - P) / 2
+
+
+def embed_blocks(tau_plus: np.ndarray, tau_minus: np.ndarray) -> np.ndarray:
+    """Lift the two parity blocks back into the 16-dimensional space."""
+    T = np.zeros((16, 16), dtype=complex)
+    T[np.ix_(EVEN_INDICES, EVEN_INDICES)] = tau_plus
+    T[np.ix_(ODD_INDICES, ODD_INDICES)] = tau_minus
+    return T
+
+
+def assemble_by_einsum(U, K, V):
+    """T = sum_m W_m x W_m^* as the 5-index einsum `assemble` replaced."""
+    KV = np.einsum("...mij,...kl->...mikjl", K, V).reshape(K.shape[:-2] + (4, 4))
+    W = U[..., None, :, :] @ KV
+    return np.einsum("...mij,...mkl->...ikjl", W, W.conj()).reshape(U.shape[:-2] + (16, 16))
 
 # frozen 40-digit value of the even-block quadratic's linear coefficient at
 # x = 0.3293, gamma = pi/4, eps = 0.4 (imaginary part vanishes identically)
@@ -76,6 +113,61 @@ def test_zero_checks_scale_each_matrix_of_a_stack(rng):
     broken[2, 0, PAIR_INDICES[1]] = 1e-8
     with pytest.raises(SymmetryViolationError):
         pair_block(broken)
+
+
+@st.composite
+def gate_inputs(draw):
+    """(U, K, V) of one gate set, unbatched as `build_superoperator` passes
+    it (size None), or of a stack of `size` points, in any regime."""
+    regime = draw(st.sampled_from(ParameterRegime))
+    size = draw(st.sampled_from([None, 1, 2, 5, 16]))
+
+    def floats(lo, hi):
+        n = size or 1
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    eps = floats(0.05, 1.0)
+    theta = np.zeros(size or 1) if draw(st.booleans()) else floats(-3.0, 3.0)
+    if regime is ParameterRegime.EASY_PLANE:
+        x, gamma = floats(-1.5, 1.5), floats(0.05, 3.09)
+    elif regime is ParameterRegime.EASY_AXIS:   # lambda = e^{i phase}, q = e^{log q}
+        x, gamma = 1j * floats(0.1, 3.0), -1j * floats(0.1, 1.0) * draw(st.sampled_from([-1, 1]))
+    else:   # Re x > 0.1 > Im gamma > 0 keeps q lam and q / lam off the unit circle
+        x, gamma = floats(0.1, 1.0) + 1j * floats(-3.0, 3.0), floats(-3.0, 3.0) + 0.05j
+    U, K, V = gate_stack(x, gamma, eps, theta, regime=regime)[:3]
+    return (U[0], K[0], V[0]) if size is None else (U, K, V)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_inputs())
+def test_assemble_is_bit_identical_to_the_einsum(gates):
+    # as uint64 views, so signed zeros and NaN payloads count
+    T = assemble(*gates)
+    assert T.shape == gates[0].shape[:-2] + (16, 16)
+    assert np.array_equal(T.view(np.uint64), assemble_by_einsum(*gates).view(np.uint64))
+
+
+def test_merged_zero_checks_keep_each_rows_first_error(rng):
+    # row 0 leaks only into the pair block, row 2 breaks parity only, row 3
+    # does both, so parity is its first failing check; row 1 is intact
+    T = np.stack([superoperator_at(random_easy_plane_point(rng)).matrix for _ in range(4)])
+    T[0, ODD_INDICES[0], PAIR_INDICES[0]] = 1e-3
+    T[2, EVEN_INDICES[0], ODD_INDICES[0]] = 2e-3
+    T[3, ODD_INDICES[0], PAIR_INDICES[1]] = 1e-3
+    T[3, EVEN_INDICES[1], ODD_INDICES[0]] = 3e-3
+    assert ODD_INDICES[0] not in PAIR_INDICES
+    with point_failures() as failed:
+        pair_block(T)
+    assert sorted(failed) == [0, 2, 3]
+    assert all(type(exc) is SymmetryViolationError for exc in failed.values())
+    assert str(failed[0]) == "leak into the pair block 1.000e-03 exceeds tolerance 1.0e-12"
+    assert str(failed[2]) == "parity commutator 2.000e-03 exceeds tolerance 1.0e-12"
+    assert str(failed[3]) == "parity commutator 3.000e-03 exceeds tolerance 1.0e-12"
+    # outside the scope the parity check runs first, so row 2 raises before row 0
+    with pytest.raises(SymmetryViolationError, match="^parity commutator 2.000e-03 "):
+        pair_block(T)
+    with pytest.raises(SymmetryViolationError, match="^leak into the pair block 1.000e-03 "):
+        pair_block(T[:2])
 
 
 def test_parity_projectors_algebra():

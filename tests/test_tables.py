@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from brickwork_ep import ParameterPoint, SingularGateError, superoperator_at
+from brickwork_ep import ParameterPoint, SingularGateError, ep_scan, superoperator_at
 from brickwork_ep.cli import main, write_table
 
 from conftest import GAMMA_A, X_A
@@ -144,3 +144,55 @@ def test_json_rows_are_the_csv_cells(tmp_path, argv):
     assert doc["metadata"] == {**meta, "format": "json"}
     assert doc["columns"] == columns
     assert doc["rows"] == body and len(body) > 0
+
+
+def read_table(path, fmt: str):
+    """(metadata, columns) of a written table, its metadata as the cells read back."""
+    if fmt == "csv":
+        meta, columns, _ = read_csv(path)
+        return meta, columns
+    doc = json.loads(path.read_text())
+    return doc["metadata"], doc["columns"]
+
+
+def linspace(grid: str) -> np.ndarray:
+    start, stop, count = grid.split(":")
+    return np.linspace(float(start), float(stop), int(count))
+
+
+# reversed grids, repeated values and grids that start at -0: the columns
+# that repeat a grid are formatted once per grid value
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("gamma_grid, x_grid", [
+    ("1.5:0.4:10", "1.1:0.1:20"), ("1.5:0.4:10", "0.5:0.5:3"), ("0.5:0.5:3", "0.5:0.5:3"),
+    ("0.5:1.5:4", "-0:1:5"), ("0.5:1.5:4", "-0:-1:5"), ("0.5:1.5:4", "-0:0:3"),
+])
+def test_ep_scan_table_matches_per_cell_oracle(tmp_path, fmt, gamma_grid, x_grid):
+    out = tmp_path / f"scan.{fmt}"
+    assert main(["ep-scan", f"--gamma-grid={gamma_grid}", f"--x-grid={x_grid}",
+                 "--format", fmt, "--output", str(out)]) == 0
+    scan = ep_scan(linspace(gamma_grid), linspace(x_grid))
+    rows = list(zip(scan.gamma, scan.x, scan.epsilon, scan.mu0.real, scan.mu0.imag,
+                    scan.certified))
+    meta, columns = read_table(out, fmt)
+    assert len(rows) == int(meta["records"])
+    assert out.read_text() == oracle_table(fmt, meta, columns, rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fixed, sweep, grid", [
+    ({"x": 0.5}, "epsilon", "1.5:0.4:10"), ({"x": 0.5}, "epsilon", "0.5:0.5:3"),
+    ({"epsilon": 0.5}, "x", "1.5:0.4:10"), ({"epsilon": 0.5}, "x", "0.5:0.5:3"),
+    ({"epsilon": 0.5}, "x", "-0:0.5:3"), ({"epsilon": 0.5}, "x", "-0:-0.5:3"),
+])
+def test_bifurcate_table_matches_per_cell_oracle(tmp_path, capsys, fmt, fixed, sweep, grid):
+    (key, val), = fixed.items()
+    out = tmp_path / f"bif.{fmt}"
+    assert main(["bifurcate", "--gamma", "0.7", "--theta", "0.3", f"--{key}={val}",
+                 "--sweep", sweep, f"--sweep-grid={grid}", "--format", fmt,
+                 "--output", str(out)]) == 0
+    point = ParameterPoint.easy_plane(**{"x": 0.0, "epsilon": 1.0, **fixed}, gamma=0.7, theta=0.3)
+    rows, notices = bifurcate_by_point(point, sweep, linspace(grid))
+    assert capsys.readouterr().err.splitlines() == notices
+    meta, columns = read_table(out, fmt)
+    assert out.read_text() == oracle_table(fmt, meta, columns, rows)
