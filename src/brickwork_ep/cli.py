@@ -58,9 +58,10 @@ def _fmt(x) -> str:
 
 
 def _repeated_cells(values, repeats: int = 1, tiles: int = 1) -> np.ndarray:
-    """The cells of np.tile(np.repeat(values, repeats), tiles), each distinct
-    value formatted once; `write_table` passes string cells through."""
-    return np.tile(np.repeat(_cells(values), repeats), tiles)
+    """The cells of np.tile(np.repeat(values, repeats), tiles), each value
+    formatted once; `write_table` passes string cells through.  An object
+    array repeats the str objects themselves, with no re-encoding."""
+    return np.tile(np.repeat(np.array(_cells(values), dtype=object), repeats), tiles)
 
 
 def write_table(path: str, fmt: str, metadata: dict, columns: list[str], data):
