@@ -72,6 +72,12 @@ def test_write_table_matches_per_cell_oracle(tmp_path, n, data):
         assert path.read_text() == oracle_table(fmt, metadata, columns, rows)
 
 
+def linspace(grid: str) -> np.ndarray:
+    """The points of a 'start:stop:count' grid flag."""
+    start, stop, count = grid.split(":")
+    return np.linspace(float(start), float(stop), int(count))
+
+
 def bifurcate_by_point(fixed: ParameterPoint, sweep: str, grid: np.ndarray):
     """Rows and skip notices of the point-by-point sweep the stack replaced."""
     rows, notices = [], []
@@ -106,11 +112,9 @@ def test_bifurcate_stack_matches_point_by_point(tmp_path, capsys, gamma, theta, 
     code = main(["bifurcate", "--gamma", str(gamma), "--theta", str(theta), f"--{key}={val}",
                  "--sweep", sweep, f"--sweep-grid={grid}", "--output", str(out)])
     assert code == 0
-    start, stop, count = grid.split(":")
     point = ParameterPoint.easy_plane(**{"x": 0.0, "epsilon": 1.0, **fixed}, gamma=gamma,
                                       theta=theta)
-    rows, notices = bifurcate_by_point(point, sweep, np.linspace(float(start), float(stop),
-                                                                 int(count)))
+    rows, notices = bifurcate_by_point(point, sweep, linspace(grid))
     meta, columns, body = read_csv(out)
     assert meta["skipped"] == str(skipped) and len(notices) == skipped
     assert capsys.readouterr().err.splitlines() == notices
@@ -153,11 +157,6 @@ def read_table(path, fmt: str):
         return meta, columns
     doc = json.loads(path.read_text())
     return doc["metadata"], doc["columns"]
-
-
-def linspace(grid: str) -> np.ndarray:
-    start, stop, count = grid.split(":")
-    return np.linspace(float(start), float(stop), int(count))
 
 
 # reversed grids, repeated values and grids that start at -0: the columns
