@@ -49,6 +49,7 @@ def assemble_by_einsum(U, K, V):
     W = U[..., None, :, :] @ KV
     return np.einsum("...mij,...mkl->...ikjl", W, W.conj()).reshape(U.shape[:-2] + (16, 16))
 
+
 # frozen 40-digit value of the even-block quadratic's linear coefficient at
 # x = 0.3293, gamma = pi/4, eps = 0.4 (imaginary part vanishes identically)
 XI_REF = -0.8002214487962991629421
@@ -132,7 +133,7 @@ def gate_inputs(draw):
         x, gamma = floats(-1.5, 1.5), floats(0.05, 3.09)
     elif regime is ParameterRegime.EASY_AXIS:   # lambda = e^{i phase}, q = e^{log q}
         x, gamma = 1j * floats(0.1, 3.0), -1j * floats(0.1, 1.0) * draw(st.sampled_from([-1, 1]))
-    else:   # Re x > 0.1 > Im gamma > 0 keeps q lam and q / lam off the unit circle
+    else:   # Re x >= 0.1 > Im gamma > 0 keeps q lam and q / lam off the unit circle
         x, gamma = floats(0.1, 1.0) + 1j * floats(-3.0, 3.0), floats(-3.0, 3.0) + 0.05j
     U, K, V = gate_stack(x, gamma, eps, theta, regime=regime)[:3]
     return (U[0], K[0], V[0]) if size is None else (U, K, V)
