@@ -16,14 +16,14 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_TOLS, override_tolerances, point_failures
-from .continuum import composite_trotter_check, kraus_lindblad_spectral_map, trotter_lambda
+from .continuum import composite_trotter_check, kraus_lindblad_spectral_map
 from .dynamics import (coherence_probe, coherence_probe_adjoint,
                        identity_observable, sensitivity_probe)
 from .gates import (ParameterPoint, SingularGateError, check_denominators, check_parameters,
                     gate_stack)
-from .linalg import EigenDecompositionError, eig_general, match_spectra
+from .linalg import eig_general, match_spectra
 from .spectrum import analytic_spectrum, ep_scan
-from .superop import UnsupportedRegimeError, assemble, block_reduce, superoperator_at
+from .superop import assemble, block_reduce, superoperator_at
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,29 +152,18 @@ def _resolve_point(args, epsilon: float | None = None,
     eps = epsilon if epsilon is not None else args.epsilon
     if args.gamma is None or eps is None:
         raise ConfigError("--gamma and --epsilon are required")
-    try:
-        return ParameterPoint.easy_plane(x, float(args.gamma), float(eps),
-                                         float(args.theta or 0.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ParameterPoint.easy_plane(x, float(args.gamma), float(eps), float(args.theta or 0.0))
 
 
 def _resolve_tols(args):
-    if not getattr(args, "tol_overrides", None):
-        return DEFAULT_TOLS
+    """The default tolerances with `--tol-overrides name=value,...` applied."""
     overrides = {}
-    for item in args.tol_overrides.split(","):
-        if not item.strip():
-            continue
-        try:
-            key, val = item.split("=")
-            overrides[key.strip()] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance override {item!r}") from exc
-    try:
-        return override_tolerances(DEFAULT_TOLS, **overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for item in filter(str.strip, (args.tol_overrides or "").split(",")):
+        key, sep, val = item.partition("=")
+        if not sep or "=" in val:
+            raise ConfigError(f"bad tolerance override {item!r}")
+        overrides[key.strip()] = float(val)
+    return override_tolerances(DEFAULT_TOLS, **overrides)
 
 
 def _output_path(args, default_name: str) -> str:
@@ -233,10 +222,7 @@ def cmd_ep_scan(args) -> int:
         raise ConfigError("--gamma-grid and --x-grid are required")
     gammas = _parse_grid(args.gamma_grid)
     xs = _parse_grid(args.x_grid)
-    try:
-        scan = ep_scan(gammas, xs, tols)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    scan = ep_scan(gammas, xs, tols)
     meta = _base_metadata(args)
     meta["regime"] = "easy-plane"
     meta["records"] = len(scan.gamma)
@@ -289,11 +275,8 @@ def cmd_evolve(args) -> int:
         raise ConfigError("--epsilon0 is required")
     if args.n_max < 20:
         raise ConfigError(f"--n-max must be at least 20 for the regime tags, got {args.n_max}")
-    eps0, delta = args.epsilon0, args.delta
-    if not (delta >= 0.0 and 0.0 < eps0 - delta and eps0 + delta <= 1.0):
-        raise ConfigError(f"need --delta >= 0 and epsilon0 +- delta in (0, 1]: {eps0} +- {delta}")
-    probe = sensitivity_probe(_resolve_point(args, epsilon=eps0), delta, args.n_max,
-                              _OBSERVABLES[args.observable](), tols=tols)
+    probe = sensitivity_probe(_resolve_point(args, epsilon=args.epsilon0), args.delta,
+                              args.n_max, _OBSERVABLES[args.observable](), tols=tols)
 
     meta = _base_metadata(args)
     tags = ("minus", "center", "plus")
@@ -324,10 +307,6 @@ def cmd_trotter(args) -> int:
             and Gamma * t >= 0):
         raise ConfigError(f"need finite --gamma (not a multiple of pi), --rate and --time with "
                           f"--rate * --time >= 0, got {args.gamma}, {Gamma}, {t}")
-    lam_n = trotter_lambda(args.gamma, t, min(n_list))
-    if not lam_n > 0:
-        raise ConfigError(f"need lambda_n = 1 + 2 sin(gamma) t/n > 0 for every n, got {lam_n} "
-                          f"at n = {min(n_list)}")
     report = composite_trotter_check(float(args.gamma), Gamma, t, n_list, tols)
     spectral = kraus_lindblad_spectral_map(Gamma, t, max(n_list)) if Gamma * t > 0 else None
 
@@ -404,6 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the one map from a failure to its exit code and notice; the first class that matches decides
+_EXIT_CODES = {SingularGateError: (EXIT_SINGULAR, "singular parameters"),
+               ValueError: (EXIT_CONFIG, "config error"),   # ConfigError among them
+               ArithmeticError: (EXIT_NUMERICAL, "numerical failure"),
+               RuntimeError: (EXIT_NUMERICAL, "numerical failure")}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -411,16 +397,10 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(parser, argv, args)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"brickwork-ep: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SingularGateError as exc:
-        print(f"brickwork-ep: singular parameters: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except (EigenDecompositionError, FloatingPointError, UnsupportedRegimeError,
-            ValueError) as exc:
-        print(f"brickwork-ep: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except tuple(_EXIT_CODES) as exc:
+        code, what = next(v for kind, v in _EXIT_CODES.items() if isinstance(exc, kind))
+        print(f"brickwork-ep: {what}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -50,10 +50,15 @@ _FIELD_NAMES = {f.name for f in fields(Tolerances)}
 
 
 def override_tolerances(base: Tolerances, **overrides: float) -> Tolerances:
-    """Return a copy of `base` with the given fields replaced."""
+    """Return a copy of `base` with the given fields replaced; each value
+    must be a finite number >= 0."""
     unknown = set(overrides) - _FIELD_NAMES
     if unknown:
         raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
+    bad = sorted(k for k, v in overrides.items() if not (np.isfinite(v) and v >= 0))
+    if bad:
+        raise ValueError(f"tolerance overrides must be finite and >= 0: "
+                         f"{', '.join(f'{k}={overrides[k]}' for k in bad)}")
     return replace(base, **overrides)
 
 

@@ -153,19 +153,29 @@ def composite_trotter_check(gamma: float, Gamma: float, t: float, n_list,
     Per step: lambda_n = 1 + 2 sin(gamma) t/n and eps_n = e^{-Gamma t/n}.
     The error is the Frobenius norm of the difference of the two 16x16
     propagators; it decays as O(1/n), so doubling n halves it.  The
-    unitary-only column repeats the check at Gamma = 0.
+    unitary-only column repeats the check at Gamma = 0.  Raises ValueError
+    if lambda_n <= 0 at the smallest n, and FloatingPointError if a
+    propagator or an error is not finite.
     """
-    ref, ref_unitary = (la.expm(t * build_lindblad(gamma, G).generator) for G in (Gamma, 0.0))
-
-    # stacked as a per-point loop meets the steps: the first failing one decides
     ns = sorted(int(n) for n in n_list)
-    eps = np.ravel([(np.exp(-Gamma * t / n) if Gamma * t != 0 else 1.0, 1.0) for n in ns])
-    x = np.repeat([np.log(trotter_lambda(gamma, t, n)) for n in ns], 2)
-    T = assemble(*gate_stack(x, gamma, eps, 0.0, tols)[:3])
-    block_reduce(T, tols)   # the parity check of every step
-    rows = [(n, float(np.linalg.norm(np.linalg.matrix_power(step_u, n) - ref_unitary)),
-             float(np.linalg.norm(np.linalg.matrix_power(step, n) - ref)))
-            for n, step, step_u in zip(ns, T[0::2], T[1::2])]
+    lam_n = trotter_lambda(gamma, t, ns[0])
+    if not lam_n > 0:
+        raise ValueError(f"need lambda_n = 1 + 2 sin(gamma) t/n > 0 for every n, got {lam_n} "
+                         f"at n = {ns[0]}")
+    with np.errstate(all="ignore"):   # a non-finite result is reported below
+        ref, ref_unitary = (la.expm(t * build_lindblad(gamma, G).generator)
+                            for G in (Gamma, 0.0))
+        # stacked as a per-point loop meets the steps: the first failing one decides
+        eps = np.ravel([(np.exp(-Gamma * t / n) if Gamma * t != 0 else 1.0, 1.0) for n in ns])
+        x = np.repeat([np.log(trotter_lambda(gamma, t, n)) for n in ns], 2)
+        T = assemble(*gate_stack(x, gamma, eps, 0.0, tols)[:3])
+        block_reduce(T, tols)   # the parity check of every step
+        rows = [(n, float(np.linalg.norm(np.linalg.matrix_power(step_u, n) - ref_unitary)),
+                 float(np.linalg.norm(np.linalg.matrix_power(step, n) - ref)))
+                for n, step, step_u in zip(ns, T[0::2], T[1::2])]
+    for n, *errors in rows:
+        if not np.isfinite(errors).all():
+            raise FloatingPointError(f"a Trotter propagator or its error is not finite at n = {n}")
 
     ratios, halving_ok = _ratio_check([(n, e) for n, _, e in rows], lambda n1, n2: n2 / n1,
                                       tols.halving_ratio_rtol)

@@ -248,8 +248,8 @@ def sensitivity_probe(point: ParameterPoint, delta: float, n_max: int = 200,
     at-EP series grows linearly while its neighbours saturate or cycle.
     """
     eps0 = point.epsilon
-    if not (0.0 < eps0 - delta and eps0 + delta <= 1.0):
-        raise ValueError(f"epsilon0 +- delta leaves (0, 1]: {eps0} +- {delta}")
+    if not (delta >= 0.0 and 0.0 < eps0 - delta and eps0 + delta <= 1.0):
+        raise ValueError(f"need delta >= 0 and epsilon0 +- delta in (0, 1]: {eps0} +- {delta}")
     g = coherence_probe() if observable is None else observable
     rho0 = reference_initial_state() if rho0 is None else rho0
 

@@ -171,7 +171,7 @@ def relaxation_channel_spectrum(epsilon: float):
     for label, op, val in pairs:
         defect = np.abs(apply_relaxation(epsilon, op) - val * op).max()
         if defect > 1e-13:
-            raise AssertionError(f"channel eigenpair {label} failed verification: {defect:.2e}")
+            raise ArithmeticError(f"channel eigenpair {label} failed verification: {defect:.2e}")
     return pairs
 
 
@@ -222,13 +222,13 @@ def _checked_gate_stack(lam, q, epsilon, theta, tols: Tolerances, regime: Parame
 
     completeness = np.abs(np.einsum("nmji,nmjk->nik", K.conj(), K) - I2).max(axis=(1, 2))
     raise_first(completeness > tols.kraus_completeness,
-                lambda i: AssertionError(f"Kraus completeness defect {completeness[i]:.2e}"))
+                lambda i: ArithmeticError(f"Kraus completeness defect {completeness[i]:.2e}"))
     raise_first(_unitarity_defect(V, I2) > tols.local_unitarity,
-                lambda i: AssertionError("local phase gate failed unitarity"))
+                lambda i: ArithmeticError("local phase gate failed unitarity"))
     defect = _unitarity_defect(U, I4)
     unitary = defect <= tols.gate_unitarity
     if regime is not ParameterRegime.GENERAL:
-        raise_first(~unitary, lambda i: AssertionError(
+        raise_first(~unitary, lambda i: ArithmeticError(
             f"gate unitarity defect {defect[i]:.2e} in regime {regime.value}"))
     return U, K, V, unitary
 

@@ -20,7 +20,7 @@ class EigenDecompositionError(RuntimeError):
 def _as_complex(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise FloatingPointError("matrix contains non-finite entries")
     return a
 
 
@@ -160,45 +160,37 @@ class JordanCertificate:
     blocks each field is an array over the stack."""
 
     gap: float              # |mu_1 - mu_2| of the block's two eigenvalues
-    min_overlap: float      # smaller unit-norm |<w|v>| of the pair
+    min_overlap: float      # unit-norm |<w|v>|, the same for both eigenvalues
     nilpotent_ratio: float  # ||N^2|| / ||N||^2 for the traceless part N of the block
     defective: bool
-
-
-def _longer(p, r):
-    """Per block, the longer of the 2-vectors p and r (p on a tie), with its norm."""
-    np_, nr = (np.sqrt(abs(u[0]) ** 2 + abs(u[1]) ** 2) for u in (p, r))
-    keep = np_ >= nr
-    return np.where(keep, p[0], r[0]), np.where(keep, p[1], r[1]), np.where(keep, np_, nr)
 
 
 def jordan_certificate(block, tols: Tolerances = DEFAULT_TOLS) -> JordanCertificate:
     """Certify the Jordan structure of an invariant 2x2 block [[a, b], [c, d]],
     or of each block of a (..., 2, 2) stack.
 
-    With s = sqrt((a - d)^2 + 4bc) the eigenvalues are (a + d -+ s)/2, the
-    right eigenvectors (b, mu - a) or, if longer, (mu - d, c), and the left
-    (row) eigenvectors (c, mu - a) or (mu - d, b).  The traceless part N
-    satisfies N^2 = (s^2/4) I.  A multiple of the identity (N = 0) is not
-    defective: every vector is an eigenvector.  One block gives Python
-    scalars.  Non-finite blocks fail through `raise_first`, one check per block.
+    With s = sqrt((a - d)^2 + 4bc) the eigenvalues are (a + d -+ s)/2, and
+    the traceless part N satisfies N^2 = (s^2/4) I.  Both eigenvalues of a
+    2x2 block have the same condition number: in a Schur form
+    [[mu1, t], [0, mu2]] it is sqrt(1 + |t|^2/|s|^2), with
+    |t|^2 = ||N||^2 - |s|^2/2, so the unit-norm overlap |<w|v>| of either
+    pair is |s| / sqrt(|s|^2/2 + ||N||^2).  A multiple of the identity
+    (N = 0) is not defective: every vector is an eigenvector.  One block
+    gives Python scalars.  Non-finite blocks fail through `raise_first`, one
+    check per block.
     """
     block = np.asarray(block, dtype=complex)
     raise_first(np.ravel(~np.isfinite(block).all(axis=(-2, -1))),
-                lambda i: ValueError("matrix contains non-finite entries"))
+                lambda i: FloatingPointError("matrix contains non-finite entries"))
     a, b, c, d = block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1]
     nn2 = abs(a - d) ** 2 / 2 + abs(b) ** 2 + abs(c) ** 2   # ||N||^2
-    s = np.sqrt((a - d) ** 2 + 4.0 * b * c)
-    overlaps = []
+    gap = abs(np.sqrt((a - d) ** 2 + 4.0 * b * c))   # |s|
     with np.errstate(invalid="ignore", divide="ignore"):   # 0/0 where N = 0, replaced below
-        for mu in ((a + d - s) / 2, (a + d + s) / 2):
-            v0, v1, nv = _longer((b, mu - a), (mu - d, c))
-            w0, w1, nw = _longer((c, mu - a), (mu - d, b))
-            overlaps.append(abs(w0 * v0 + w1 * v1) / (nw * nv))
-        ratio = np.sqrt(2.0) * abs(s) ** 2 / 4 / nn2
+        overlap = gap / np.sqrt(gap**2 / 2 + nn2)
+        ratio = np.sqrt(2.0) * gap**2 / 4 / nn2
     identity = nn2 == 0
-    min_overlap = np.where(identity, 1.0, np.minimum(*overlaps))
-    cert = JordanCertificate(gap=abs(s), min_overlap=min_overlap,
+    min_overlap = np.where(identity, 1.0, overlap)
+    cert = JordanCertificate(gap=gap, min_overlap=min_overlap,
                              nilpotent_ratio=np.where(identity, 0.0, ratio),
                              defective=min_overlap < tols.defect_overlap)
     if block.ndim > 2:

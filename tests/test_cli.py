@@ -4,7 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from brickwork_ep.cli import main
+from brickwork_ep import cli
+from brickwork_ep.cli import ConfigError, main
+from brickwork_ep.gates import SingularGateError
+from brickwork_ep.linalg import EigenDecompositionError
+from brickwork_ep.superop import SymmetryViolationError
 
 from conftest import GAMMA_A, X_A, exact_ep_x
 
@@ -370,6 +374,8 @@ def test_bifurcate_skips_overflowing_lambda(tmp_path):
 @pytest.mark.parametrize("args", [
     ["--gamma", 0], ["--gamma", "nan"], ["--gamma", GAMMA_A, "--rate", -1],
     ["--gamma", GAMMA_A, "--time", -1],
+    # eps_n = e^(-rate t/n) underflows to 0: an input error, as in ep-scan
+    ["--gamma", GAMMA_A, "--time", 1e5, "--rate", 1],
 ])
 def test_trotter_bad_input_exit_code(tmp_path, args):
     out = tmp_path / "t.csv"
@@ -423,3 +429,68 @@ def test_trotter_nonpositive_lambda_exit_code(tmp_path, args):
     out = tmp_path / "t.csv"
     assert run(["trotter", *args, "--output", out]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code, what", [
+    (SingularGateError, 4, "singular parameters"),
+    (ConfigError, 2, "config error"),
+    (ValueError, 2, "config error"),
+    (FloatingPointError, 3, "numerical failure"),
+    (EigenDecompositionError, 3, "numerical failure"),
+    (SymmetryViolationError, 3, "numerical failure"),
+    (ArithmeticError, 3, "numerical failure"),   # the gate and channel tolerance checks
+])
+def test_main_maps_each_failure_to_its_exit_code(tmp_path, capsys, monkeypatch, error, code, what):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "superoperator_at", fail)
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", "--gamma", GAMMA_A, "--x", X_A, "--epsilon", 0.32,
+                "--output", out]) == code
+    assert capsys.readouterr().err == f"brickwork-ep: {what}: injected\n"
+    assert not out.exists()
+
+
+def test_ep_scan_singular_exit_code(tmp_path, capsys):
+    # the same condition spectrum reports as singular; ep-scan used to exit 2
+    out = tmp_path / "scan.csv"
+    assert run(["ep-scan", "--gamma-grid", "0.0001:0.0001:1", "--x-grid", "0:0:1",
+                "--tol-overrides", "singular_gate=1e-3", "--output", out]) == 4
+    assert capsys.readouterr().err.startswith("brickwork-ep: singular parameters: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--gamma", 0.7, "--x", 0.3, "--epsilon", 0.5, "--tol-overrides", "gate_unitarity=0"],
+    ["spectrum", "--gamma", 0.7, "--x", 0.3, "--epsilon", 0.5,
+     "--tol-overrides", "kraus_completeness=0"],
+    ["bifurcate", "--gamma", 0.7, "--x", 0.3, "--theta", 0.2, "--sweep-grid", "0.1:0.9:3",
+     "--tol-overrides", "gate_unitarity=0"],
+    ["trotter", "--gamma", GAMMA_A, "--time", 1e308, "--rate", 0, "--n-list", "1,2"],
+])
+def test_tolerance_check_failure_exit_code(tmp_path, capsys, args):
+    # these used to end in an AssertionError traceback
+    out = tmp_path / "out.csv"
+    assert run(args + ["--output", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("brickwork-ep: numerical failure: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["ep_gap=nan", "parity_commutator=-1"])
+def test_invalid_tolerance_override_exit_code(tmp_path, capsys, override):
+    # ep_gap=nan used to certify nothing and exit 0; a negative override ended in a traceback
+    out = tmp_path / "scan.csv"
+    assert run(["ep-scan", "--gamma-grid", "0.5:1:2", "--x-grid", "0.2:0.4:2",
+                "--tol-overrides", override, "--output", out]) == 2
+    assert "must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trotter_non_finite_propagator_writes_no_nan(tmp_path, capsys):
+    # runs under the suite's error::RuntimeWarning; the table used to hold nan errors
+    assert run(["trotter", "--gamma", GAMMA_A, "--time", 2e300, "--rate", 0,
+                "--output", tmp_path / "t.csv"]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert all("nan" not in path.read_text() for path in tmp_path.iterdir())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -121,3 +123,20 @@ def test_trotter_first_failing_step_decides_error():
     # eps_n = e^(-Gamma t/n) underflows to 0 for the smallest n first
     with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\], got 0\.0$"):
         composite_trotter_check(np.pi / 4, 1e3, 1.0, [1, 2])
+
+
+def test_trotter_rejects_nonpositive_lambda_without_warning():
+    # lambda_n = 1 + 2 sin(gamma) t/n <= 0 used to reach log() of a negative number
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^need lambda_n = 1 \+ 2 sin\(gamma\) t/n > 0 "
+                                             r"for every n, got -0\.41\d* at n = 100$"):
+            composite_trotter_check(np.pi / 4, -1.0, -100.0, [100])
+
+
+def test_trotter_non_finite_propagator_raises():
+    # the t = 2e300 reference exponential is not finite; no nan row is returned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="not finite at n = 100$"):
+            composite_trotter_check(np.pi / 4, 0.0, 2e300, [100, 200])

@@ -213,6 +213,9 @@ def test_sensitivity_probe_range_check():
     point = ParameterPoint.easy_plane(X_STAR, GAMMA_A, 0.995)
     with pytest.raises(ValueError):
         sensitivity_probe(point, 0.01)
+    # a negative delta used to swap the plus and minus series
+    with pytest.raises(ValueError, match="need delta >= 0"):
+        sensitivity_probe(ParameterPoint.easy_plane(X_STAR, GAMMA_A, 0.32), -0.01)
 
 
 def test_expansion_matches_series_for_dense_observable(rng):

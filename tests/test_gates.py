@@ -5,7 +5,7 @@ from brickwork_ep import (ParameterPoint, ParameterRegime, SingularGateError,
                           build_gate_set, coupling_gate, local_phase_gate,
                           relaxation_channel_spectrum, relaxation_kraus,
                           relaxation_steps)
-from brickwork_ep.config import DEFAULT_TOLS, point_failures
+from brickwork_ep.config import DEFAULT_TOLS, override_tolerances, point_failures
 from brickwork_ep.gates import (I2, I4, PROJ_UP, SIGMA_Z, SIGMA_ZZ, apply_relaxation,
                                 check_denominators, check_parameters)
 
@@ -156,3 +156,11 @@ def test_point_failures_records_each_points_first_failing_check():
     # outside the scope the first failing point raises
     with pytest.raises(ValueError, match="non-finite"):
         check_parameters(x, gamma, epsilon, 0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, -1e-300])
+def test_override_tolerances_rejects_non_finite_and_negative(value):
+    # a nan ep_gap used to make every comparison false, so no EP certified
+    with pytest.raises(ValueError, match="must be finite and >= 0: ep_gap="):
+        override_tolerances(DEFAULT_TOLS, ep_gap=value)
+    assert override_tolerances(DEFAULT_TOLS, ep_gap=0.0).ep_gap == 0.0

@@ -141,13 +141,25 @@ def test_jordan_certificate_diagonalizable_blocks():
 
 
 def test_jordan_certificate_against_eigensolver(rng):
-    block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    cert = jordan_certificate(block)
-    w, vl, vr = la.eig(block, left=True, right=True)
-    vl, vr = vl / np.linalg.norm(vl, axis=0), vr / np.linalg.norm(vr, axis=0)
-    overlap = np.abs(np.sum(vl.conj() * vr, axis=0)).min()
-    nil = block - np.trace(block) / 2 * np.eye(2)
-    assert abs(cert.gap - abs(w[0] - w[1])) < 1e-12
-    assert abs(cert.min_overlap - overlap) < 1e-12
-    assert abs(cert.nilpotent_ratio
-               - np.linalg.norm(nil @ nil) / np.linalg.norm(nil) ** 2) < 1e-12
+    # a stack of random blocks and of near-defective blocks S [[m, t], [0, m + g]] S^-1
+    # with gaps g from 1e-1 down to 1e-6, each block against its own la.eig
+    random = rng.normal(size=(20, 2, 2)) + 1j * rng.normal(size=(20, 2, 2))
+    S = rng.normal(size=(20, 2, 2)) + 1j * rng.normal(size=(20, 2, 2))
+    schur = np.zeros((20, 2, 2), dtype=complex)
+    schur[:, 0, 0] = schur[:, 1, 1] = rng.normal(size=20) + 1j * rng.normal(size=20)
+    schur[:, 1, 1] += np.logspace(-1, -6, 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
+    schur[:, 0, 1] = rng.uniform(0.5, 2.0, 20)
+    blocks = np.concatenate([random, S @ schur @ np.linalg.inv(S)])
+    cert = jordan_certificate(blocks)
+    for k, block in enumerate(blocks):
+        w, vl, vr = la.eig(block, left=True, right=True)
+        vl, vr = vl / np.linalg.norm(vl, axis=0), vr / np.linalg.norm(vr, axis=0)
+        overlap = np.abs(np.sum(vl.conj() * vr, axis=0))
+        nil = block - np.trace(block) / 2 * np.eye(2)
+        # both pairs share one overlap; the solver's eigenvalues carry an error
+        # that grows as the condition number 1/overlap, its overlaps a relative
+        # error that grows as its square
+        assert abs(cert.gap[k] - abs(w[0] - w[1])) < 1e-13 / overlap.min()
+        assert np.abs(cert.min_overlap[k] - overlap).max() < 1e-13 / overlap.min()
+        assert abs(cert.nilpotent_ratio[k]
+                   - np.linalg.norm(nil @ nil) / np.linalg.norm(nil) ** 2) < 1e-12
