@@ -40,7 +40,6 @@ class Tolerances:
     linear_fit_r2: float = 0.999       # linear-growth criterion
 
     # continuum checks
-    quadratic_ratio_rtol: float = 0.25  # residual(delta)/residual(delta/2) within 25% of 4
     halving_ratio_rtol: float = 0.30    # composite error ratio within 30% of 2
 
 

@@ -1,5 +1,5 @@
-"""Discrete-to-continuous bridge: the small-coupling limit of the two-qubit
-gate toward the XXZ interaction, the exact spectral embedding of the
+"""Discrete-to-continuous bridge: the XXZ interaction that the two-qubit
+gate approaches at small coupling, the exact spectral embedding of the
 relaxation channel into a Lindblad semigroup, and the composite Trotter
 limit of the full brickwork step toward a boundary-driven master equation.
 """
@@ -10,8 +10,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .config import DEFAULT_TOLS, Tolerances
-from .gates import (I2, I4, ParameterPoint, SIGMA_PLUS, SIGMA_X, SIGMA_Y,
-                    SIGMA_ZZ, coupling_gate, gate_stack, relaxation_kraus)
+from .gates import I2, I4, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_ZZ, gate_stack, relaxation_kraus
 from .linalg import kron
 from .superop import assemble, block_reduce
 
@@ -23,8 +22,6 @@ class XXZSpec:
     J: float
     Delta: float
     h12: np.ndarray
-    a0: float   # cot(gamma): first-order phase of the diagonal gate entry
-    b0: float   # 1/sin(gamma): first-order amplitude of the hopping entry
 
 
 def build_xxz(gamma: float) -> XXZSpec:
@@ -33,40 +30,7 @@ def build_xxz(gamma: float) -> XXZSpec:
     J = 1.0 / (2.0 * np.sin(gamma))
     Delta = float(np.cos(gamma))
     h12 = J * (kron(SIGMA_X, SIGMA_X) + kron(SIGMA_Y, SIGMA_Y) + Delta * (SIGMA_ZZ - I4))
-    return XXZSpec(J=J, Delta=Delta, h12=h12, a0=float(1.0 / np.tan(gamma)),
-                   b0=float(1.0 / np.sin(gamma)))
-
-
-def _ratio_check(rows, expected, rtol: float):
-    """Ratios r1/r2 of consecutive (k, r) rows, skipping r2 = 0, and whether
-    each lies within `rtol` of expected(k1, k2)."""
-    pairs = [(r1 / r2, expected(k1, k2))
-             for (k1, r1), (k2, r2) in zip(rows, rows[1:]) if r2 != 0.0]
-    return tuple(r for r, _ in pairs), all(abs(r - e) <= rtol * e for r, e in pairs)
-
-
-@dataclass(frozen=True)
-class XXZLimitReport:
-    rows: tuple[tuple[float, float], ...]   # (delta, || U(e^delta) - (1 - i delta h12) ||)
-    ratios: tuple[float, ...]               # residual(delta_k) / residual(delta_{k+1})
-    quadratic_ok: bool                      # each ratio matches (delta_k/delta_{k+1})^2 within tol
-
-
-def xxz_limit_check(gamma: float, deltas, tols: Tolerances = DEFAULT_TOLS) -> XXZLimitReport:
-    """Confirm U(lambda = e^delta) = 1 - i delta h12 + O(delta^2)."""
-    spec = build_xxz(gamma)
-    deltas = sorted((float(d) for d in deltas), reverse=True)
-    rows = []
-    for d in deltas:
-        if d == 0.0:
-            rows.append((0.0, 0.0))
-            continue
-        point = ParameterPoint.easy_plane(d, gamma, 1.0)
-        U, _, _ = coupling_gate(point, tols)
-        rows.append((d, float(np.linalg.norm(U - (I4 - 1j * d * spec.h12)))))
-    ratios, quadratic_ok = _ratio_check(rows, lambda d1, d2: (d1 / d2) ** 2,
-                                        tols.quadratic_ratio_rtol)
-    return XXZLimitReport(rows=tuple(rows), ratios=ratios, quadratic_ok=quadratic_ok)
+    return XXZSpec(J=J, Delta=Delta, h12=h12)
 
 
 def dissipator_matrix(L: np.ndarray) -> np.ndarray:
@@ -154,9 +118,11 @@ def composite_trotter_check(gamma: float, Gamma: float, t: float, n_list,
     The error is the Frobenius norm of the difference of the two 16x16
     propagators; it decays as O(1/n), so doubling n halves it.  The
     unitary-only column repeats the check at Gamma = 0.  Raises ValueError
-    if lambda_n <= 0 at the smallest n, and FloatingPointError if a
-    propagator or an error is not finite.
+    if gamma, Gamma or t is not finite or lambda_n <= 0 at the smallest n,
+    and FloatingPointError if a propagator or an error is not finite.
     """
+    if not np.isfinite([gamma, Gamma, t]).all():
+        raise ValueError(f"need finite gamma, Gamma and t, got {gamma}, {Gamma}, {t}")
     ns = sorted(int(n) for n in n_list)
     lam_n = trotter_lambda(gamma, t, ns[0])
     if not lam_n > 0:
@@ -177,6 +143,7 @@ def composite_trotter_check(gamma: float, Gamma: float, t: float, n_list,
         if not np.isfinite(errors).all():
             raise FloatingPointError(f"a Trotter propagator or its error is not finite at n = {n}")
 
-    ratios, halving_ok = _ratio_check([(n, e) for n, _, e in rows], lambda n1, n2: n2 / n1,
-                                      tols.halving_ratio_rtol)
+    pairs = [(e1 / e2, n2 / n1) for (n1, _, e1), (n2, _, e2) in zip(rows, rows[1:]) if e2 != 0.0]
+    ratios = tuple(r for r, _ in pairs)
+    halving_ok = all(abs(r - e) <= tols.halving_ratio_rtol * e for r, e in pairs)
     return TrotterReport(rows=tuple(rows), ratios=ratios, halving_ok=halving_ok)

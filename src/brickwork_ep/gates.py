@@ -149,39 +149,6 @@ def relaxation_kraus(epsilon) -> np.ndarray:
     return K
 
 
-def apply_relaxation(epsilon: float, rho: np.ndarray) -> np.ndarray:
-    """One application of the relaxation channel to a 2x2 operator."""
-    K1, K2 = relaxation_kraus(epsilon)
-    return K1 @ rho @ K1.conj().T + K2 @ rho @ K2.conj().T
-
-
-def relaxation_channel_spectrum(epsilon: float):
-    """Eigenoperators of the relaxation channel with their eigenvalues.
-
-    Returns [(label, operator, eigenvalue)] for the four eigenpairs
-    {P_up: 1, sigma_z: eps^2, sigma+: eps, sigma-: eps}; each pair is
-    verified by direct Kraus application before being returned.
-    """
-    pairs = [
-        ("proj_up", PROJ_UP, 1.0),
-        ("sigma_z", SIGMA_Z, epsilon**2),
-        ("sigma_plus", SIGMA_PLUS, epsilon),
-        ("sigma_minus", SIGMA_MINUS, epsilon),
-    ]
-    for label, op, val in pairs:
-        defect = np.abs(apply_relaxation(epsilon, op) - val * op).max()
-        if defect > 1e-13:
-            raise ArithmeticError(f"channel eigenpair {label} failed verification: {defect:.2e}")
-    return pairs
-
-
-def relaxation_steps(epsilon: float) -> float:
-    """Typical number of steps to relax toward the channel fixed point, -2/log(eps)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"relaxation time diverges or is undefined at epsilon = {epsilon}")
-    return -2.0 / np.log(epsilon)
-
-
 def local_phase_gate(theta) -> np.ndarray:
     """diag(e^{i theta}, e^{-i theta}); a stack (..., 2, 2) for an array of theta."""
     theta = np.asarray(theta)
@@ -205,13 +172,14 @@ def gate_stack(x, gamma, epsilon, theta, tols: Tolerances = DEFAULT_TOLS,
     U has unit corners and the centre block [[a, b], [b, a]], with
     a = (q - 1/q) / (q lam - 1/(q lam)) and b = (lam - 1/lam) / (q lam - 1/(q lam)).
     """
-    return _checked_gate_stack(*check_parameters(x, gamma, epsilon, theta), epsilon, theta,
-                               tols, regime)
+    lam, q = check_parameters(x, gamma, epsilon, theta)
+    check_denominators(lam, q, tols)
+    return _checked_gate_stack(lam, q, epsilon, theta, tols, regime)
 
 
 def _checked_gate_stack(lam, q, epsilon, theta, tols: Tolerances, regime: ParameterRegime):
-    """`gate_stack` from the (lam, q) of points that passed `check_parameters`."""
-    check_denominators(lam, q, tols)
+    """`gate_stack` from the (lam, q) of points that passed `check_parameters`
+    and `check_denominators`."""
     den = q * lam - 1.0 / (q * lam)
     U = np.zeros(den.shape + (4, 4), dtype=complex)
     U[:, 0, 0] = U[:, 3, 3] = 1.0
@@ -235,13 +203,8 @@ def _checked_gate_stack(lam, q, epsilon, theta, tols: Tolerances, regime: Parame
 
 def build_gate_set(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) -> GateSet:
     """All gates of one brickwork step: `gate_stack`, N = 1, on a checked point."""
-    U, K, V, unitary = _checked_gate_stack(np.atleast_1d(point.lam), np.atleast_1d(point.q),
-                                           point.epsilon, point.theta, tols, point.regime)
+    lam, q = np.atleast_1d(point.lam), np.atleast_1d(point.q)
+    check_denominators(lam, q, tols)
+    U, K, V, unitary = _checked_gate_stack(lam, q, point.epsilon, point.theta, tols, point.regime)
     return GateSet(U=U[0], K1=K[0, 0], K2=K[0, 1], V=V[0], point=point,
                    unitary=bool(unitary[0]))
-
-
-def coupling_gate(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS):
-    """The coupling gate U of `gate_stack` at one point, with a = U[1, 1], b = U[1, 2]."""
-    U = build_gate_set(point, tols).U
-    return U, U[1, 1], U[1, 2]

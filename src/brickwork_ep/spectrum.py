@@ -1,7 +1,6 @@
 """Closed-form spectrum of the superintegrable (theta = 0) step, the
-exceptional-point manifold in the easy-plane regime, closed-form
-eigenvectors where they exist, and the sensing coefficients of the
-two-point coherence probe.
+exceptional-point manifold in the easy-plane regime, and the sensing
+coefficients of the two-point coherence probe.
 
 Labeling convention: within each square-root pair the "-sqrt" root comes
 first (mu9 before mu10, mu13 before mu14, mu7 before mu8); all numerics
@@ -16,9 +15,8 @@ from .config import DEFAULT_TOLS, Tolerances, point_failures, raise_first
 from .gates import (ParameterPoint, ParameterRegime, _checked_gate_stack, check_denominators,
                     check_parameters)
 from .linalg import JordanCertificate, jordan_certificate
-from .superop import (COMPLETION_INDICES, PAIR_INDICES, UnsupportedRegimeError, assemble,
-                      completion_blocks, pair_block, pair_splitting_sqrt, pair_sum_coeff,
-                      superoperator_at)
+from .superop import (UnsupportedRegimeError, assemble, pair_block, pair_splitting_sqrt,
+                      pair_sum_coeff)
 
 
 def _f_pm(lam, q, eps, Q):
@@ -26,11 +24,6 @@ def _f_pm(lam, q, eps, Q):
     core = lam * (q * q - 1.0) * (eps - 1.0)
     den = 2.0 * (lam * lam - 1.0) * q
     return (core - Q) / den, (core + Q) / den
-
-
-def _coalesced(lam, q, Q, tols: Tolerances) -> bool:
-    """mu9 and mu10 count as one eigenvalue: |mu10 - mu9| = |Q / (lam^2 q^2 - 1)| < ep_gap."""
-    return bool(abs(Q / (lam * lam * q * q - 1.0)) < tols.ep_gap)
 
 
 @dataclass(frozen=True)
@@ -53,14 +46,12 @@ class AnalyticSpectrum:
         return self.mu[8:]
 
 
-def _closed_forms(x, gamma, eps, tols: Tolerances):
-    """(mu, Q) of each point of a theta = 0 stack: the sixteen closed-form
-    eigenvalues (N, 16) and the splitting quantity Q.  Raises
-    `SingularGateError`, or `FloatingPointError` where the closed forms
-    overflow (from |x| ~ 178 on, through lam^4 in Q)."""
-    x, gamma, eps = (np.array(v, copy=None, ndmin=1) for v in (x, gamma, eps))
-    lam, q = np.exp(x), np.exp(1j * gamma)
-    check_denominators(lam, q, tols)
+def _closed_forms(x, gamma, eps, lam, q):
+    """(mu, Q) of each point of a theta = 0 stack, from the (lam, q) of points
+    that passed `check_denominators`: the sixteen closed-form eigenvalues
+    (N, 16) and the splitting quantity Q.  Raises `FloatingPointError` where
+    the closed forms overflow (from |x| ~ 178 on, through lam^4 in Q)."""
+    eps = np.array(eps, copy=None, ndmin=1)
     with np.errstate(over="ignore", invalid="ignore"):   # reported by the finiteness check
         Q = pair_splitting_sqrt(lam, q, eps)
         fl = pair_sum_coeff(q, eps) * lam
@@ -93,7 +84,10 @@ def analytic_spectrum(point: ParameterPoint, tols: Tolerances = DEFAULT_TOLS) ->
     """
     if not point.superintegrable:
         raise UnsupportedRegimeError("closed forms require theta = 0")
-    mu, Q = _closed_forms(point.x, point.gamma, point.epsilon, tols)
+    x, gamma = np.atleast_1d(point.x, point.gamma)
+    lam, q = np.exp(x), np.exp(1j * gamma)
+    check_denominators(lam, q, tols)
+    mu, Q = _closed_forms(x, gamma, point.epsilon, lam, q)
     return AnalyticSpectrum(mu=mu[0], Q=Q[0], f=pair_sum_coeff(point.q, point.epsilon),
                             point=point)
 
@@ -165,7 +159,8 @@ def _certify(x, gamma, eps, regime: ParameterRegime, tols: Tolerances) -> EPScan
     meets them, each raising for its first failing point (`raise_first`)."""
     x, gamma, eps = (np.array(v, copy=None, ndmin=1) for v in (x, gamma, eps))
     lam, q = check_parameters(x, gamma, eps, 0.0)
-    mu, _ = _closed_forms(x, gamma, eps, tols)
+    check_denominators(lam, q, tols)
+    mu, _ = _closed_forms(x, gamma, eps, lam, q)
     T = assemble(*_checked_gate_stack(lam, q, eps, 0.0, tols, regime)[:3])
     cert = jordan_certificate(pair_block(T, tols), tols)   # parity, then pair-leak checks
     a_res = (np.abs(ep_discriminant(np.real(x), np.real(gamma), eps))
@@ -208,90 +203,6 @@ def ep_scan(gamma_grid, x_grid, tols: Tolerances = DEFAULT_TOLS) -> EPScan:
         if failed:
             raise failed[min(failed)]
     return scan
-
-
-# ---------------------------------------------------------------------------
-# closed-form eigenvectors (theta = 0)
-# ---------------------------------------------------------------------------
-
-def _on(indices, values) -> np.ndarray:
-    """Vector with `values` at the 0-based `indices` and zeros elsewhere."""
-    v = np.zeros(16, dtype=complex)
-    v[list(indices)] = values
-    return v
-
-
-def _e(i: int) -> np.ndarray:
-    """1-based unit vector in the 16-dim vectorized space."""
-    return _on([i - 1], 1.0)
-
-
-@dataclass(frozen=True)
-class ClosedFormVectors:
-    """Right eigenvectors with printed closed forms, keyed by 1-based label.
-
-    The eps-eigenspace is four-fold degenerate; the two independent gauge
-    directions inside it are set to zero, which makes the labels 3/4 and
-    5/6 return the same representative vector.  `coalesced` flags that the
-    9/10 pair has merged (on the EP manifold) and a single eigenvector plus
-    a Jordan chain replaces the pair.
-    """
-
-    vectors: dict[int, np.ndarray]
-    coalesced: bool
-
-
-def closed_form_right_vectors(point: ParameterPoint,
-                              tols: Tolerances = DEFAULT_TOLS) -> ClosedFormVectors:
-    """Eigenvectors of the theta = 0 step for labels {1..6, 9, 10, 13, 14}."""
-    Q = analytic_spectrum(point, tols).Q   # theta = 0 and denominator checks
-    lam, q, eps = point.lam, point.q, point.epsilon
-    F = (1.0 - q * q) * (eps - 1.0) * lam / (q * (lam * lam - 1.0))
-    f_minus, f_plus = _f_pm(lam, q, eps, Q)
-
-    vecs: dict[int, np.ndarray] = {}
-    vecs[1] = _e(1)
-    vecs[2] = _e(1) - _e(6) - _e(11) + _e(16)
-    base = (1.0 + eps) * _e(1) - eps * _e(6) - _e(11)
-    vecs[3] = vecs[4] = base + F * _e(10)
-    vecs[5] = vecs[6] = base - F * _e(7)
-
-    coalesced = _coalesced(lam, q, Q, tols)
-    vecs[9] = _on(PAIR_INDICES, (1.0, f_minus / eps))
-    vecs[10] = vecs[9] if coalesced else _on(PAIR_INDICES, (1.0, f_plus / eps))
-
-    vecs[13] = _e(2) - (f_minus / eps) * _e(3)
-    vecs[14] = vecs[13] if coalesced else _e(2) - (f_plus / eps) * _e(3)
-    return ClosedFormVectors(vectors=vecs, coalesced=coalesced)
-
-
-def closed_form_left_vectors(point: ParameterPoint,
-                             tols: Tolerances = DEFAULT_TOLS) -> dict[int, np.ndarray]:
-    """Left (row) eigenvectors for labels {9, 10, 15, 16}, bilinear pairing.
-
-    w15 and w16 are fully closed-form.  w9 and w10 are w = (1, f-+) on the
-    pair block, completed on the completion block by one 2x2 solve,
-    w C (mu - D)^{-1} (see `superop.completion_blocks`).  Normalization:
-    bilinear contraction with the matching right vector equals one.
-    """
-    spec = analytic_spectrum(point, tols)   # theta = 0 and denominator checks
-    lam, q, eps, Q = point.lam, point.q, point.epsilon, spec.Q
-    if _coalesced(lam, q, Q, tols):
-        raise UnsupportedRegimeError("biorthogonal left vectors do not exist at the EP")
-    f_minus, f_plus = _f_pm(lam, q, eps, Q)
-
-    out: dict[int, np.ndarray] = {}
-    pref = q * (lam * lam - 1.0) / Q
-    out[15] = pref * _on(COMPLETION_INDICES, (1.0, -f_minus))
-    out[16] = -pref * _on(COMPLETION_INDICES, (1.0, -f_plus))
-
-    C, D = completion_blocks(superoperator_at(point, tols).matrix, tols)
-    for label, fpm in ((9, f_minus), (10, f_plus)):
-        pair = np.array([1.0, fpm])
-        rest = np.linalg.solve(spec.mu[label - 1] * np.eye(2) - D.T, C.T @ pair)
-        w = _on(PAIR_INDICES + COMPLETION_INDICES, (*pair, *rest))
-        out[label] = w / (1.0 + fpm * fpm / eps)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -80,10 +80,8 @@ def block_reduce(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
 
 
 # The pair mu9/mu10 is the spectrum of the map on vec indices {4, 8}: for
-# every regime and theta no other row reads those columns.  Its left
-# eigenvectors reach into {13, 14}, whose rows read only columns 13 and 14.
+# every regime and theta no other row reads those columns.
 PAIR_INDICES = (4, 8)
-COMPLETION_INDICES = (13, 14)
 _INTO_PAIR = np.outer(~_indicator(PAIR_INDICES), _indicator(PAIR_INDICES))
 
 
@@ -93,21 +91,6 @@ def pair_block(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarra
     check) or, after that, if another row reads the pair's columns."""
     _check_zero(matrix, tols, _PARITY_CHECK, (_INTO_PAIR, "leak into the pair block"))
     return matrix[_block(PAIR_INDICES, PAIR_INDICES)]
-
-
-def completion_blocks(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
-    """(C, D) = (T[pair, completion], T[completion, completion]).
-
-    A left eigenvector w of the pair block extends to one of the map as
-    (w, w C (mu - D)^{-1}).  Raises SymmetryViolationError if the rows of
-    both pairs read other columns or the completion rows read the pair's.
-    """
-    both = _indicator(PAIR_INDICES + COMPLETION_INDICES)
-    into_pair = np.outer(_indicator(COMPLETION_INDICES), _indicator(PAIR_INDICES))
-    zero = np.outer(both, ~both) | into_pair
-    _check_zero(matrix, tols, (zero, "leak out of the completion block"))
-    return (matrix[_block(PAIR_INDICES, COMPLETION_INDICES)],
-            matrix[_block(COMPLETION_INDICES, COMPLETION_INDICES)])
 
 
 def assemble(U: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from brickwork_ep import (ParameterPoint, coherence_probe, critical_epsilon,
-                          observable_series, reference_initial_state, superoperator_at)
+from brickwork_ep import (ParameterPoint, coherence_probe, critical_epsilon, gates,
+                          observable_series, reference_initial_state, superop,
+                          superoperator_at)
+from brickwork_ep.config import DEFAULT_TOLS
 
 from conftest import GAMMA_A, X_A
 
@@ -23,6 +25,12 @@ def test_traced_names_resolve():
         module, attr = name.split(".")
         fn = getattr(importlib.import_module(f"brickwork_ep.{module}"), attr, None)
         assert callable(fn), name
+    # the names `bench/run.py`'s Runner calls besides the CLI
+    for fn in (gates.ParameterPoint.easy_plane, gates.ParameterPoint.easy_axis,
+               superop.superoperator_at, superop.trace_preservation_defect,
+               superop.choi_min_eigenvalue, superop.steady_state):
+        assert callable(fn)
+    assert DEFAULT_TOLS.trace_preservation > 0 and DEFAULT_TOLS.choi_floor > 0
 
 
 def _reference_calls(tmp_path):

@@ -177,6 +177,23 @@ def test_evolve_triptych(tmp_path):
     assert len(rows) == 3 * 201
 
 
+def test_evolve_readme_example_at_n_max_2000(tmp_path):
+    # |mu|^n and the series fall below the smallest normal double before
+    # n = 2000; the rescaled series used to divide by an underflowed |mu|^n,
+    # warn, and tag the centre and plus series inconclusive
+    out = tmp_path / "evolve.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["evolve", "--gamma", GAMMA_A, "--x", 0.3294198210614586, "--epsilon0", 0.4,
+                    "--delta", 0.01, "--n-max", 2000, "--output", out])
+    assert code == 0
+    assert caught == []
+    meta, _, rows = read_csv(out)
+    assert (meta["regime-minus"], meta["regime-center"], meta["regime-plus"]) == (
+        "below", "at", "above")
+    assert all(np.isfinite(float(r[4])) for r in rows)
+
+
 def test_evolve_zero_delta_identical_series(tmp_path):
     out = tmp_path / "evolve.csv"
     code = run(["evolve", "--gamma", GAMMA_A, "--x", X_A, "--epsilon0", 0.32,
@@ -250,9 +267,11 @@ def test_output_dir_env(tmp_path, monkeypatch):
 
 def test_tol_override_rejected_when_unknown(tmp_path):
     out = tmp_path / "spec.csv"
-    code = run(["spectrum", "--gamma", GAMMA_A, "--x", X_A, "--epsilon", 0.32,
-                "--tol-overrides", "not_a_tol=1", "--output", out])
-    assert code == 2
+    # quadratic_ratio_rtol was a tolerance that nothing the CLI runs read
+    for name in ("not_a_tol", "quadratic_ratio_rtol"):
+        code = run(["spectrum", "--gamma", GAMMA_A, "--x", X_A, "--epsilon", 0.32,
+                    "--tol-overrides", f"{name}=1", "--output", out])
+        assert code == 2
 
 
 def test_config_file_fills_flags_with_defaults(tmp_path):
@@ -328,6 +347,7 @@ def test_ep_scan_non_finite_closed_forms_exit_code(tmp_path):
     ["evolve", "--x", X_A, "--epsilon0", 0.3, "--n-max", -3],
     ["bifurcate", "--lambda", -1, "--sweep-grid", "0.1:0.9:3"],
     ["bifurcate", "--sweep", "x", "--epsilon", 1.5, "--sweep-grid", "0.1:0.9:3"],
+    ["evolve", "--x", X_A, "--epsilon0", 0.3, "--n-max", 19],
 ])
 def test_bad_parameter_values_exit_code(tmp_path, args):
     out = tmp_path / "out.csv"
@@ -376,6 +396,9 @@ def test_bifurcate_skips_overflowing_lambda(tmp_path):
     ["--gamma", GAMMA_A, "--time", -1],
     # eps_n = e^(-rate t/n) underflows to 0: an input error, as in ep-scan
     ["--gamma", GAMMA_A, "--time", 1e5, "--rate", 1],
+    # checked before any work, so no RuntimeWarning (an error in this suite) comes first
+    ["--gamma", GAMMA_A, "--time", "inf"], ["--gamma", GAMMA_A, "--rate", "nan"],
+    ["--gamma", "inf"],
 ])
 def test_trotter_bad_input_exit_code(tmp_path, args):
     out = tmp_path / "t.csv"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from brickwork_ep import (ParameterPoint, build_lindblad, build_xxz, composite_trotter_check,
-                          dissipator_matrix, kraus_lindblad_spectral_map, superoperator_at,
-                          xxz_limit_check)
+from brickwork_ep import (ParameterPoint, build_gate_set, build_lindblad, build_xxz,
+                          composite_trotter_check, dissipator_matrix,
+                          kraus_lindblad_spectral_map, superoperator_at)
 from brickwork_ep.continuum import trotter_lambda
 from brickwork_ep.gates import I4, SIGMA_PLUS, SIGMA_ZZ
 from brickwork_ep.linalg import kron
@@ -16,8 +16,9 @@ from conftest import random_density
 
 def test_xxz_spec_values():
     spec = build_xxz(np.pi / 4)
-    assert abs(spec.a0 - 1.0) < 1e-15
-    assert abs(spec.b0 - np.sqrt(2.0)) < 1e-15
+    # the gate's first-order terms: a = 1 + i delta cot(gamma), b = -i delta / sin(gamma)
+    assert abs(-spec.h12[1, 1] - 1.0) < 1e-15
+    assert abs(spec.h12[1, 2] - np.sqrt(2.0)) < 1e-15
     assert abs(spec.J - 1.0 / np.sqrt(2.0)) < 1e-15
     assert abs(spec.Delta - np.cos(np.pi / 4)) < 1e-15
     assert np.abs(spec.h12 - spec.h12.conj().T).max() < 1e-13
@@ -27,13 +28,18 @@ def test_xxz_spec_values():
 
 
 def test_xxz_limit_quadratic():
-    report = xxz_limit_check(np.pi / 4, [0.02, 0.01, 0.005])
-    assert report.quadratic_ok
-    for ratio in report.ratios:
-        assert abs(ratio - 4.0) < 1.0
+    # U(lambda = e^delta) = 1 - i delta h12 + O(delta^2): halving delta quarters the residual
+    h12 = build_xxz(np.pi / 4).h12
+
+    def residual(delta):
+        U = build_gate_set(ParameterPoint.easy_plane(delta, np.pi / 4, 1.0)).U
+        return np.linalg.norm(U - (I4 - 1j * delta * h12))
+
+    rows = [residual(d) for d in (0.02, 0.01, 0.005)]
+    for r1, r2 in zip(rows, rows[1:]):
+        assert abs(r1 / r2 - 4.0) < 1.0
     # delta = 0 is exact
-    report0 = xxz_limit_check(np.pi / 4, [0.0])
-    assert report0.rows[0][1] == 0.0
+    assert residual(0.0) == 0.0
 
 
 def test_dissipator_trace_free(rng):

@@ -4,7 +4,7 @@ import pytest
 from brickwork_ep import (EPRegime, Observable, ParameterPoint, analytic_spectrum,
                           classify_regime, coherence_probe, critical_epsilon,
                           coherence_probe_adjoint, evolve,
-                          identity_observable, jordan_growth, observable_series,
+                          identity_observable, observable_series,
                           reference_initial_state, sensing_coefficients,
                           sensitivity_probe, superoperator_at, vectorize)
 from brickwork_ep import dynamics
@@ -59,7 +59,7 @@ def test_invalid_initial_state():
 
 def test_identity_observable_series(rng):
     s = superoperator_at(ParameterPoint.easy_plane(X_STAR, GAMMA_A, 0.37))
-    rec = observable_series(s, random_density(rng), identity_observable(), 50, mu_rescale=1.0)
+    rec = observable_series(s, random_density(rng), identity_observable(), 50)
     assert np.abs(rec.values - 1.0).max() < 1e-11
 
 
@@ -108,34 +108,6 @@ def test_probe_misses_conjugate_left_vectors():
         alpha = (wk @ rho0) / (wk @ vr[:, k])
         gamma_k = alpha * np.trace(g3 @ vr[:, k].reshape(4, 4))
         assert abs(gamma_k) < 1e-10
-
-
-def test_jordan_growth_eigenvector_constant():
-    vals = jordan_growth(0.7 + 0.1j, (1.0, 0.0), 50)
-    assert np.abs(vals - 1.0).max() < 1e-14
-
-
-def test_jordan_growth_closed_form_and_matrix_oracle():
-    mu0 = 0.5
-    vals = jordan_growth(mu0, (0.0, 1.0), 60)
-    ns = np.arange(61)
-    assert np.abs(vals - np.sqrt(1.0 + 4.0 * ns**2)).max() < 1e-12
-    B = np.array([[mu0, 1.0], [0.0, mu0]], dtype=complex)
-    psi = np.array([0.3 - 0.2j, 1.1 + 0.4j])
-    direct = jordan_growth(mu0, psi, 40)
-    acc = psi.copy()
-    for n in range(41):
-        assert abs(direct[n] - np.linalg.norm(acc) / abs(mu0) ** n) < 1e-9
-        acc = B @ acc
-
-
-def test_jordan_growth_asymptote():
-    mu0, psi = 0.8, (2.0, 0.5)
-    vals = jordan_growth(mu0, psi, 400)
-    assert abs(vals[400] / vals[200] - 2.0) < 0.02
-    assert abs(vals[400] / (400 * abs(psi[1] / mu0)) - 1.0) < 0.02
-    with pytest.raises(ValueError):
-        jordan_growth(0.0, psi, 10)
 
 
 def _probe_record(eps, x=X_STAR, n_max=200):
@@ -232,8 +204,8 @@ def test_underflowing_series_is_taken_in_extended_precision():
     rho0, g = reference_initial_state(), coherence_probe()
     args = (vectorize(g.matrix.T), s.matrix, vectorize(rho0))
     for n_max, dtype in ((200, complex), (2000, np.clongdouble)):
-        rec = observable_series(s, rho0, g, n_max, mu_rescale=1.0)
-        assert np.array_equal(rec.values, _power_series(*args, n_max, dtype))
+        rec = observable_series(s, rho0, g, n_max)
+        assert np.array_equal(rec.values, _power_series(*args, n_max, dtype).astype(complex))
 
 
 @pytest.mark.parametrize("epsilon, solves", [("ep", 0), (0.2, 1)])

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from brickwork_ep import (ParameterPoint, ParameterRegime, SingularGateError,
-                          build_gate_set, coupling_gate, local_phase_gate,
-                          relaxation_channel_spectrum, relaxation_kraus,
-                          relaxation_steps)
+                          build_gate_set, local_phase_gate, relaxation_kraus)
 from brickwork_ep.config import DEFAULT_TOLS, override_tolerances, point_failures
-from brickwork_ep.gates import (I2, I4, PROJ_UP, SIGMA_Z, SIGMA_ZZ, apply_relaxation,
+from brickwork_ep.gates import (I2, I4, PROJ_UP, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, SIGMA_ZZ,
                                 check_denominators, check_parameters)
 
 from conftest import GAMMA_A, X_A, random_density
@@ -14,6 +12,17 @@ from conftest import GAMMA_A, X_A, random_density
 # frozen 40-digit evaluations of the gate entries at q = e^{i pi/4}, lam = e^{0.3293}
 A_REF = 0.861107715632161924864 + 0.2737389573494228135512j
 B_REF = 0.1297968639191879450197 - 0.4083053507177617648776j
+
+
+def coupling_gate(point):
+    """The coupling gate U with its entries a = U[1, 1] and b = U[1, 2]."""
+    U = build_gate_set(point).U
+    return U, U[1, 1], U[1, 2]
+
+
+def apply_relaxation(epsilon, rho):
+    """One application of the relaxation channel to a 2x2 operator."""
+    return sum(K @ rho @ K.conj().T for K in relaxation_kraus(epsilon))
 
 
 def test_identity_at_unit_lambda():
@@ -71,22 +80,16 @@ def test_kraus_completeness(eps):
 
 
 def test_channel_spectrum_values():
-    vals = [v for _, _, v in relaxation_channel_spectrum(0.5)]
-    assert vals == [1.0, 0.25, 0.5, 0.5]
-    vals = [v for _, _, v in relaxation_channel_spectrum(1.0)]
-    assert vals == [1.0, 1.0, 1.0, 1.0]
+    # eigenpairs {P_up: 1, sigma_z: eps^2, sigma+: eps, sigma-: eps}
+    for eps, vals in ((0.5, [1.0, 0.25, 0.5, 0.5]), (1.0, [1.0, 1.0, 1.0, 1.0])):
+        assert vals == [1.0, eps**2, eps, eps]
+        for op, val in zip((PROJ_UP, SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS), vals):
+            assert np.abs(apply_relaxation(eps, op) - val * op).max() <= 1e-13
 
 
 def test_channel_eigenoperator_direct():
     out = apply_relaxation(0.4, SIGMA_Z)
     assert np.abs(out - 0.16 * SIGMA_Z).max() < 1e-15
-
-
-def test_relaxation_steps():
-    assert abs(relaxation_steps(np.exp(-2.0)) - 1.0) < 1e-14
-    assert abs(relaxation_steps(0.4) - 2.182713335874582891095) < 1e-14
-    with pytest.raises(ValueError):
-        relaxation_steps(1.0)
 
 
 def test_local_phase_gate():

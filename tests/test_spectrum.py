@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from brickwork_ep import (ParameterPoint, UnsupportedRegimeError,
-                          analytic_spectrum, certify_ep, closed_form_left_vectors,
-                          closed_form_right_vectors, critical_epsilon,
+                          analytic_spectrum, certify_ep, critical_epsilon,
                           ep_discriminant, ep_scan, match_spectra,
                           sensing_coefficients, superoperator_at, vectorize)
 from brickwork_ep import spectrum
 from brickwork_ep.dynamics import coherence_probe, reference_initial_state
 
+from closed_form_vectors import closed_form_left_vectors, closed_form_right_vectors
 from conftest import GAMMA_A, X_A, exact_ep_x, random_easy_plane_point
 
 EPS_EP_A = 0.40012921026029413   # critical epsilon at (x, gamma) = (0.3293, pi/4)

@@ -11,9 +11,9 @@ from brickwork_ep import (GateSet, ParameterPoint, ParameterRegime, SymmetryViol
                           superoperator_at, trace_preservation_defect, vectorize)
 from brickwork_ep.config import point_failures
 from brickwork_ep.gates import SIGMA_ZZ
-from brickwork_ep.superop import (COMPLETION_INDICES, EVEN_INDICES, ODD_INDICES,
-                                  PAIR_INDICES, completion_blocks, pair_block)
+from brickwork_ep.superop import EVEN_INDICES, ODD_INDICES, PAIR_INDICES, pair_block
 
+from closed_form_vectors import COMPLETION_INDICES, completion_blocks
 from conftest import GAMMA_A, X_A, exact_ep_x, random_density, random_easy_plane_point
 
 
