@@ -28,5 +28,5 @@ from .spectrum import (AnalyticSpectrum, EPRecord, EPScan, SensingCoefficients,
 from .superop import (CharFactorReport, EVEN_INDICES, ODD_INDICES, Superoperator,
                       SymmetryViolationError, UnsupportedRegimeError, assemble,
                       block_reduce, build_superoperator, choi_matrix, choi_min_eigenvalue,
-                      factored_char_poly, pair_block, steady_state, superoperator_at,
+                      factored_char_poly, steady_state, superoperator_at,
                       trace_preservation_defect)

@@ -15,8 +15,7 @@ from .config import DEFAULT_TOLS, Tolerances, point_failures, raise_first
 from .gates import (ParameterPoint, ParameterRegime, _checked_gate_stack, check_denominators,
                     check_parameters)
 from .linalg import JordanCertificate, jordan_certificate
-from .superop import (UnsupportedRegimeError, assemble, pair_block, pair_splitting_sqrt,
-                      pair_sum_coeff)
+from .superop import UnsupportedRegimeError, pair_splitting_sqrt, pair_sum_coeff
 
 
 def _f_pm(lam, q, eps, Q):
@@ -156,13 +155,20 @@ class EPScan:
 def _certify(x, gamma, eps, regime: ParameterRegime, tols: Tolerances) -> EPScan:
     """Dual certification of each point of a theta = 0 stack: discriminant
     zero and a defective pair block.  The checks run in the order one point
-    meets them, each raising for its first failing point (`raise_first`)."""
+    meets them, each raising for its first failing point (`raise_first`).
+
+    The pair mu9/mu10 is the spectrum of the step on vec indices {4, 8}.  At
+    theta = 0 that block is [[a, eps b], [b, eps a]], read off the coupling
+    gate's centre block [[a, b], [b, a]]: it comes from the one Kraus term
+    with K[0, 0] != 0, and the gates' structural zeros make every other
+    entry of its columns exactly 0, so no 16x16 map is assembled."""
     x, gamma, eps = (np.array(v, copy=None, ndmin=1) for v in (x, gamma, eps))
     lam, q = check_parameters(x, gamma, eps, 0.0)
     check_denominators(lam, q, tols)
     mu, _ = _closed_forms(x, gamma, eps, lam, q)
-    T = assemble(*_checked_gate_stack(lam, q, eps, 0.0, tols, regime)[:3])
-    cert = jordan_certificate(pair_block(T, tols), tols)   # parity, then pair-leak checks
+    pair = _checked_gate_stack(lam, q, eps, 0.0, tols, regime)[0][:, 1:3, 1:3]
+    pair[..., 1] *= eps[:, None]   # the step's invariant block on vec indices {4, 8}
+    cert = jordan_certificate(pair, tols)
     a_res = (np.abs(ep_discriminant(np.real(x), np.real(gamma), eps))
              if regime is ParameterRegime.EASY_PLANE else np.full(len(mu), np.inf))
     certified = (a_res <= tols.ep_discriminant) & (cert.gap <= tols.ep_gap) & cert.defective

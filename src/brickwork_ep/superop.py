@@ -45,25 +45,18 @@ def _block(rows, cols):
     return (...,) + np.ix_(rows, cols)
 
 
-def _indicator(indices) -> np.ndarray:
-    """Which of the 16 vec indices are in `indices`."""
-    return np.isin(np.arange(16), indices)
+_CROSS_PARITY = np.not_equal.outer(_PARITY_DIAG > 0, _PARITY_DIAG > 0)
 
 
-_PARITY_CHECK = (np.not_equal.outer(_PARITY_DIAG > 0, _PARITY_DIAG > 0), "parity commutator")
-
-
-def _check_zero(matrix: np.ndarray, tols: Tolerances, *checks):
-    """Raise SymmetryViolationError if the entries of a mask, which the
-    structure forces to zero, are not; each matrix at its own scale.  The
-    (mask, what) `checks` run in order on one |matrix|."""
+def _check_zero(matrix: np.ndarray, tols: Tolerances, zero: np.ndarray, what: str):
+    """Raise SymmetryViolationError if the entries of the mask `zero`, which
+    the structure forces to zero, are not; each matrix at its own scale."""
     a = np.abs(matrix)
     bound = tols.parity_commutator * np.maximum(1.0, a.max(axis=(-2, -1)))
-    for zero, what in checks:
-        leak = (a * zero).max(axis=(-2, -1))
-        raise_first(leak > bound,
-                    lambda i: SymmetryViolationError(f"{what} {np.ravel(leak)[i]:.3e} exceeds "
-                                                     f"tolerance {tols.parity_commutator:.1e}"))
+    leak = (a * zero).max(axis=(-2, -1))
+    raise_first(leak > bound,
+                lambda i: SymmetryViolationError(f"{what} {np.ravel(leak)[i]:.3e} exceeds "
+                                                 f"tolerance {tols.parity_commutator:.1e}"))
 
 
 def block_reduce(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
@@ -75,22 +68,8 @@ def block_reduce(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     commutator's entries are the cross-parity entries up to sign, so those
     are checked directly.
     """
-    _check_zero(matrix, tols, _PARITY_CHECK)
+    _check_zero(matrix, tols, _CROSS_PARITY, "parity commutator")
     return matrix[_block(EVEN_INDICES, EVEN_INDICES)], matrix[_block(ODD_INDICES, ODD_INDICES)]
-
-
-# The pair mu9/mu10 is the spectrum of the map on vec indices {4, 8}: for
-# every regime and theta no other row reads those columns.
-PAIR_INDICES = (4, 8)
-_INTO_PAIR = np.outer(~_indicator(PAIR_INDICES), _indicator(PAIR_INDICES))
-
-
-def pair_block(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """The invariant 2x2 block T[pair, pair], of a map or of each of a stack.
-    Raises SymmetryViolationError if the map breaks parity (`block_reduce`'s
-    check) or, after that, if another row reads the pair's columns."""
-    _check_zero(matrix, tols, _PARITY_CHECK, (_INTO_PAIR, "leak into the pair block"))
-    return matrix[_block(PAIR_INDICES, PAIR_INDICES)]
 
 
 def assemble(U: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -14,8 +14,9 @@ from brickwork_ep import analytic_spectrum, superoperator_at
 from brickwork_ep.config import DEFAULT_TOLS, Tolerances
 from brickwork_ep.gates import ParameterPoint
 from brickwork_ep.spectrum import _f_pm
-from brickwork_ep.superop import (PAIR_INDICES, UnsupportedRegimeError, _block, _check_zero,
-                                  _indicator)
+from brickwork_ep.superop import UnsupportedRegimeError, _block, _check_zero
+
+from assembly_oracle import PAIR_INDICES, indicator
 
 COMPLETION_INDICES = (13, 14)
 
@@ -27,10 +28,10 @@ def completion_blocks(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     (w, w C (mu - D)^{-1}).  Raises SymmetryViolationError if the rows of
     both pairs read other columns or the completion rows read the pair's.
     """
-    both = _indicator(PAIR_INDICES + COMPLETION_INDICES)
-    into_pair = np.outer(_indicator(COMPLETION_INDICES), _indicator(PAIR_INDICES))
+    both = indicator(PAIR_INDICES + COMPLETION_INDICES)
+    into_pair = np.outer(indicator(COMPLETION_INDICES), indicator(PAIR_INDICES))
     zero = np.outer(both, ~both) | into_pair
-    _check_zero(matrix, tols, (zero, "leak out of the completion block"))
+    _check_zero(matrix, tols, zero, "leak out of the completion block")
     return (matrix[_block(PAIR_INDICES, COMPLETION_INDICES)],
             matrix[_block(COMPLETION_INDICES, COMPLETION_INDICES)])
 

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from brickwork_ep import (DEFAULT_TOLS, Observable, ParameterPoint, ParameterRegime,
                           analytic_spectrum, block_reduce, certify_ep, choi_min_eigenvalue,
                           critical_epsilon, eig_general, ep_discriminant, ep_scan, evolve,
-                          match_spectra, observable_series, pair_block, superoperator_at,
+                          match_spectra, observable_series, superoperator_at,
                           trace_preservation_defect, vectorize)
 from brickwork_ep.dynamics import _power_series
 
+from assembly_oracle import pair_block
 from conftest import exact_ep_x
 
 thetas = st.floats(0.0, 1.5)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from brickwork_ep import (ParameterPoint, UnsupportedRegimeError,
                           analytic_spectrum, certify_ep, critical_epsilon,
                           ep_discriminant, ep_scan, match_spectra,
                           sensing_coefficients, superoperator_at, vectorize)
-from brickwork_ep import spectrum
+from brickwork_ep import spectrum, superop
 from brickwork_ep.dynamics import coherence_probe, reference_initial_state
 
 from closed_form_vectors import closed_form_left_vectors, closed_form_right_vectors
@@ -180,6 +182,19 @@ def test_ep_scan_error_is_first_failing_point_in_one_pass(count_calls, xs, error
         ep_scan(gammas, xs)
     assert type(info.value) is type(expected) and str(info.value) == str(expected)
     assert len(calls) == 1
+
+
+def test_ep_scan_and_certify_ep_assemble_no_map(count_calls):
+    # wrap `assemble` in every package module that bound it, so a call
+    # through an imported name counts too
+    bound = [m for name, m in list(sys.modules.items())
+             if name.startswith("brickwork_ep") and getattr(m, "assemble", None) is superop.assemble]
+    calls = [count_calls(m, "assemble") for m in bound]
+    ep_scan(np.linspace(0.5, 1.0, 3), np.linspace(0.1, 1.0, 4))
+    certify_ep(ParameterPoint.easy_plane(X_A, GAMMA_A, critical_epsilon(X_A, GAMMA_A)))
+    assert sum(map(len, calls)) == 0
+    superoperator_at(ParameterPoint.easy_plane(X_A, GAMMA_A, 0.4))   # the wrappers count
+    assert sum(map(len, calls)) == 1
 
 
 def test_point_failures_scope_ends_with_a_failed_scan():

@@ -11,8 +11,9 @@ from brickwork_ep import (GateSet, ParameterPoint, ParameterRegime, SymmetryViol
                           superoperator_at, trace_preservation_defect, vectorize)
 from brickwork_ep.config import point_failures
 from brickwork_ep.gates import SIGMA_ZZ
-from brickwork_ep.superop import EVEN_INDICES, ODD_INDICES, PAIR_INDICES, pair_block
+from brickwork_ep.superop import _CROSS_PARITY, EVEN_INDICES, ODD_INDICES
 
+from assembly_oracle import INTO_PAIR, PAIR_INDICES, assemble_by_einsum, gate_pair_block, pair_block
 from closed_form_vectors import COMPLETION_INDICES, completion_blocks
 from conftest import GAMMA_A, X_A, exact_ep_x, random_density, random_easy_plane_point
 
@@ -41,13 +42,6 @@ def embed_blocks(tau_plus: np.ndarray, tau_minus: np.ndarray) -> np.ndarray:
     T[np.ix_(EVEN_INDICES, EVEN_INDICES)] = tau_plus
     T[np.ix_(ODD_INDICES, ODD_INDICES)] = tau_minus
     return T
-
-
-def assemble_by_einsum(U, K, V):
-    """T = sum_m W_m x W_m^* as the 5-index einsum `assemble` replaced."""
-    KV = np.einsum("...mij,...kl->...mikjl", K, V).reshape(K.shape[:-2] + (4, 4))
-    W = U[..., None, :, :] @ KV
-    return np.einsum("...mij,...mkl->...ikjl", W, W.conj()).reshape(U.shape[:-2] + (16, 16))
 
 
 # frozen 40-digit value of the even-block quadratic's linear coefficient at
@@ -146,6 +140,22 @@ def test_assemble_is_bit_identical_to_the_einsum(gates):
     T = assemble(*gates)
     assert T.shape == gates[0].shape[:-2] + (16, 16)
     assert np.array_equal(T.view(np.uint64), assemble_by_einsum(*gates).view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_inputs())
+def test_pair_block_is_four_gate_entries(gates):
+    # what ep-scan reads off the gates is the assembled map's invariant block:
+    # bit for bit at theta = 0 (V = I), to rounding elsewhere; the entries
+    # the structure forces to zero are exactly 0, so no runtime check is needed.
+    # Adding 0 sets the sign of zero entries (b = -0 at lambda = 1) aside.
+    T = assemble(*gates)
+    assert not T[..., INTO_PAIR | _CROSS_PARITY].any()
+    P, expected = pair_block(T) + 0.0, gate_pair_block(*gates) + 0.0
+    at_zero = np.all(gates[2] == np.eye(2), axis=(-2, -1))
+    assert np.array_equal(P[at_zero].view(np.uint64), expected[at_zero].view(np.uint64))
+    scale = np.abs(P).max(axis=(-2, -1))
+    assert np.all(np.abs(P - expected).max(axis=(-2, -1)) <= 1e-15 * scale)
 
 
 def test_merged_zero_checks_keep_each_rows_first_error(rng):
