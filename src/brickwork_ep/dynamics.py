@@ -203,9 +203,13 @@ def classify_regime(point: ParameterPoint, record: TrajectoryRecord,
     fits a positively sloped line with R^2 above `linear_fit_r2`.  Above:
     bounded and oscillatory, with no linear trend.  The data-based verdict
     is cross-checked against the sign of the easy-plane discriminant; a
-    mismatch is reported as inconclusive rather than silently resolved.
+    mismatch is reported as inconclusive rather than silently resolved, as
+    is a tail past the largest double, on which no statistics are computed.
     """
     _check_n_max(len(record.values) - 1)
+    if not np.isfinite(record.rescaled[len(record.rescaled) // 2:]).all():
+        return RegimeReport(regime=None, tail_drift=np.nan, slope=np.nan, r_squared=np.nan,
+                            reason="rescaled tail is not finite")
     drift, slope, r2, mean, tail = _tail_statistics(record.rescaled)
 
     if drift < tols.tail_drift:

@@ -27,6 +27,12 @@ I4 = np.eye(4, dtype=complex)
 SIGMA_ZZ = np.kron(SIGMA_Z, SIGMA_Z)
 
 
+# |lam| or 1/|lam| (about e^709.09) past which the gate entries are formed
+# scaled: below it the plain form's complex divisions, whose intermediates
+# reach sqrt(2) |q lam|, stay finite
+_EDGE = np.finfo(float).max / 2.0
+
+
 class SingularGateError(ValueError):
     """Gate parameters sit on (or too close to) a vanishing denominator."""
 
@@ -179,12 +185,29 @@ def gate_stack(x, gamma, epsilon, theta, tols: Tolerances = DEFAULT_TOLS,
 
 def _checked_gate_stack(lam, q, epsilon, theta, tols: Tolerances, regime: ParameterRegime):
     """`gate_stack` from the (lam, q) of points that passed `check_parameters`
-    and `check_denominators`."""
-    den = q * lam - 1.0 / (q * lam)
+    and `check_denominators`.
+
+    Past |lam| = `_EDGE`, or below its inverse, the plain form's complex
+    divisions can overflow, so those rows are formed through t = 1/lam or
+    lam, whichever is small, and p = q or 1/q: a = t (p - 1/p) / d and
+    b = (1 - t^2) / d with d = p - t^2/p.  Every other row keeps the plain
+    form's bits."""
+    with np.errstate(over="ignore", invalid="ignore"):   # edge rows are replaced below
+        den = q * lam - 1.0 / (q * lam)
+        a, b = (q - 1.0 / q) / den, (lam - 1.0 / lam) / den
+    size = np.abs(lam)
+    edge = np.maximum(size, 1.0 / size) > _EDGE
+    if edge.any():
+        lam, q, edge = np.broadcast_arrays(lam, q, edge)
+        big = np.abs(lam[edge]) > 1.0
+        t = np.where(big, 1.0 / lam[edge], lam[edge])
+        p = np.where(big, q[edge], 1.0 / q[edge])
+        d = p - t * t / p
+        a[edge], b[edge] = t * (p - 1.0 / p) / d, (1.0 - t * t) / d
     U = np.zeros(den.shape + (4, 4), dtype=complex)
     U[:, 0, 0] = U[:, 3, 3] = 1.0
-    U[:, 1, 1] = U[:, 2, 2] = (q - 1.0 / q) / den
-    U[:, 1, 2] = U[:, 2, 1] = (lam - 1.0 / lam) / den
+    U[:, 1, 1] = U[:, 2, 2] = a
+    U[:, 1, 2] = U[:, 2, 1] = b
     K = relaxation_kraus(np.array(epsilon, copy=None, ndmin=1)).swapaxes(0, 1)
     V = local_phase_gate(np.array(theta, copy=None, ndmin=1))
 

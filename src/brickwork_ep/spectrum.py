@@ -156,18 +156,15 @@ def _certify(x, gamma, eps, regime: ParameterRegime, tols: Tolerances) -> EPScan
     """Dual certification of each point of a theta = 0 stack: discriminant
     zero and a defective pair block.  The checks run in the order one point
     meets them, each raising for its first failing point (`raise_first`).
-
-    The pair mu9/mu10 is the spectrum of the step on vec indices {4, 8}.  At
-    theta = 0 that block is [[a, eps b], [b, eps a]], read off the coupling
-    gate's centre block [[a, b], [b, a]]: it comes from the one Kraus term
-    with K[0, 0] != 0, and the gates' structural zeros make every other
-    entry of its columns exactly 0, so no 16x16 map is assembled."""
+    The pair mu9/mu10 is the spectrum of the step's invariant block on vec
+    indices {4, 8}; at theta = 0 it is [[a, eps b], [b, eps a]], read off
+    the coupling gate's centre block [[a, b], [b, a]]."""
     x, gamma, eps = (np.array(v, copy=None, ndmin=1) for v in (x, gamma, eps))
     lam, q = check_parameters(x, gamma, eps, 0.0)
     check_denominators(lam, q, tols)
     mu, _ = _closed_forms(x, gamma, eps, lam, q)
     pair = _checked_gate_stack(lam, q, eps, 0.0, tols, regime)[0][:, 1:3, 1:3]
-    pair[..., 1] *= eps[:, None]   # the step's invariant block on vec indices {4, 8}
+    pair[..., 1] *= eps[:, None]
     cert = jordan_certificate(pair, tols)
     a_res = (np.abs(ep_discriminant(np.real(x), np.real(gamma), eps))
              if regime is ParameterRegime.EASY_PLANE else np.full(len(mu), np.inf))

@@ -194,6 +194,19 @@ def test_evolve_readme_example_at_n_max_2000(tmp_path):
     assert all(np.isfinite(float(r[4])) for r in rows)
 
 
+def test_evolve_identity_with_an_infinite_tail_is_inconclusive_without_warnings(tmp_path):
+    # 1/|mu|^n of the non-decaying identity series passes the largest double
+    # near n = 1550: the tail statistics used to warn on inf - inf
+    out = tmp_path / "evolve.csv"
+    code = run(["evolve", "--gamma", GAMMA_A, "--x", 0.3294198210614586, "--epsilon0", 0.4,
+                "--n-max", 2000, "--observable", "identity", "--output", out])
+    assert code == 0
+    meta, _, rows = read_csv(out)
+    assert (meta["regime-minus"], meta["regime-center"], meta["regime-plus"]) == (
+        "inconclusive", "inconclusive", "inconclusive")
+    assert {r[0] for r in rows if r[4] == "inf"} == {"minus", "center", "plus"}
+
+
 def test_evolve_zero_delta_identical_series(tmp_path):
     out = tmp_path / "evolve.csv"
     code = run(["evolve", "--gamma", GAMMA_A, "--x", X_A, "--epsilon0", 0.32,
@@ -389,6 +402,18 @@ def test_bifurcate_skips_overflowing_lambda(tmp_path):
     meta, _, rows = read_csv(out)
     assert meta["skipped"] == "1"
     assert len(rows) == 16
+
+
+@pytest.mark.parametrize("x", [709.7, -709.7])
+def test_spectrum_at_the_lambda_edge_off_theta_zero(tmp_path, x):
+    # lambda is finite, but the plain gate entries overflowed past |x| ~ 709.4
+    # and the point failed with a false unitarity defect
+    out = tmp_path / "spec.csv"
+    code = run(["spectrum", "--gamma", GAMMA_A, f"--x={x}", "--epsilon", 0.5, "--theta", 0.2,
+                "--output", out])
+    assert code == 0
+    _, _, rows = read_csv(out)
+    assert len(rows) == 16 and float(rows[0][3]) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("args", [

@@ -104,6 +104,8 @@ def bifurcate_by_point(fixed: ParameterPoint, sweep: str, grid: np.ndarray):
     (1e-14, 0.0, {"epsilon": 0.4}, "x", "-800:800:9", 3),
     (GAMMA_A, 1.1, {"x": X_A}, "epsilon", "0.05:0.95:50", 0),
     (0.7, 0.2, {"epsilon": 0.5}, "x", "700:705:2", 0),
+    # up to the largest finite lambda: the gate entries are formed scaled past e^709.09
+    (0.7, 0.2, {"epsilon": 0.5}, "x", "700:709.78:20", 0),
 ])
 def test_bifurcate_stack_matches_point_by_point(tmp_path, capsys, gamma, theta, fixed,
                                                 sweep, grid, skipped):
