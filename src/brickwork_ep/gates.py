@@ -27,9 +27,8 @@ I4 = np.eye(4, dtype=complex)
 SIGMA_ZZ = np.kron(SIGMA_Z, SIGMA_Z)
 
 
-# |lam| or 1/|lam| (about e^709.09) past which the gate entries are formed
-# scaled: below it the plain form's complex divisions, whose intermediates
-# reach sqrt(2) |q lam|, stay finite
+# |q lam - 1/(q lam)| (about e^709.09 for |q| = 1) below which the plain gate
+# entries' complex divisions, with intermediates up to sqrt(2) times it, stay finite
 _EDGE = np.finfo(float).max / 2.0
 
 
@@ -185,20 +184,16 @@ def gate_stack(x, gamma, epsilon, theta, tols: Tolerances = DEFAULT_TOLS,
 
 def _checked_gate_stack(lam, q, epsilon, theta, tols: Tolerances, regime: ParameterRegime):
     """`gate_stack` from the (lam, q) of points that passed `check_parameters`
-    and `check_denominators`.
-
-    Past |lam| = `_EDGE`, or below its inverse, the plain form's complex
-    divisions can overflow, so those rows are formed through t = 1/lam or
-    lam, whichever is small, and p = q or 1/q: a = t (p - 1/p) / d and
-    b = (1 - t^2) / d with d = p - t^2/p.  Every other row keeps the plain
-    form's bits."""
+    and `check_denominators`.  Rows whose denominator passes `_EDGE` are
+    formed through t = 1/lam or lam, whichever is small, and p = q or 1/q:
+    a = t (p - 1/p) / d and b = (1 - t^2) / d with d = p - t^2/p; the others
+    keep the plain form."""
     with np.errstate(over="ignore", invalid="ignore"):   # edge rows are replaced below
         den = q * lam - 1.0 / (q * lam)
         a, b = (q - 1.0 / q) / den, (lam - 1.0 / lam) / den
-    size = np.abs(lam)
-    edge = np.maximum(size, 1.0 / size) > _EDGE
+    edge = np.abs(den) > _EDGE
     if edge.any():
-        lam, q, edge = np.broadcast_arrays(lam, q, edge)
+        lam, q = np.broadcast_arrays(lam, q)
         big = np.abs(lam[edge]) > 1.0
         t = np.where(big, 1.0 / lam[edge], lam[edge])
         p = np.where(big, q[edge], 1.0 / q[edge])

@@ -12,9 +12,9 @@ from conftest import GAMMA_A, X_A, random_density
 # frozen 40-digit evaluations of the gate entries at q = e^{i pi/4}, lam = e^{0.3293}
 A_REF = 0.861107715632161924864 + 0.2737389573494228135512j
 B_REF = 0.1297968639191879450197 - 0.4083053507177617648776j
-# and at lam = e^{+-705}, past the edge of the plain form: a = A_EDGE (1 +- i),
-# b = B_EDGE (1 -+ i)
-A_EDGE = 6.643397797997951814883e-307
+# and at lam = e^{+-709.5}, where the plain form overflows: a = A_EDGE (1 +- i),
+# a subnormal, and b = B_EDGE (1 -+ i)
+A_EDGE = 7.380148314012580848555e-309
 B_EDGE = 0.7071067811865475244008
 
 
@@ -43,11 +43,11 @@ def test_gate_entries_frozen_oracle():
     assert U[1, 1] == a and U[1, 2] == b and U[0, 0] == 1.0 and U[3, 3] == 1.0
 
 
-@pytest.mark.parametrize("x", [705.0, -705.0])
+@pytest.mark.parametrize("x", [709.5, -709.5])
 def test_gate_entries_past_the_edge_frozen_oracle(x):
     s = np.sign(x)
     U, a, b = coupling_gate(ParameterPoint.easy_plane(x, GAMMA_A, 0.5, theta=0.2))
-    assert abs(a - A_EDGE * (1 + s * 1j)) < 1e-15 * A_EDGE
+    assert abs(a - A_EDGE * (1 + s * 1j)) < 1e-14 * A_EDGE   # a few subnormal steps
     assert abs(b - B_EDGE * (1 - s * 1j)) < 1e-15
     assert np.abs(U.conj().T @ U - I4).max() < 1e-15
 

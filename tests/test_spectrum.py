@@ -187,8 +187,8 @@ def test_ep_scan_error_is_first_failing_point_in_one_pass(count_calls, xs, error
 def test_ep_scan_and_certify_ep_assemble_no_map(count_calls):
     # wrap `assemble` in every package module that bound it, so a call
     # through an imported name counts too
-    bound = [m for name, m in list(sys.modules.items())
-             if name.startswith("brickwork_ep") and getattr(m, "assemble", None) is superop.assemble]
+    bound = [m for name, m in list(sys.modules.items()) if name.startswith("brickwork_ep")
+             and getattr(m, "assemble", None) is superop.assemble]
     calls = [count_calls(m, "assemble") for m in bound]
     ep_scan(np.linspace(0.5, 1.0, 3), np.linspace(0.1, 1.0, 4))
     certify_ep(ParameterPoint.easy_plane(X_A, GAMMA_A, critical_epsilon(X_A, GAMMA_A)))

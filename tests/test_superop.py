@@ -13,7 +13,8 @@ from brickwork_ep.config import point_failures
 from brickwork_ep.gates import SIGMA_ZZ
 from brickwork_ep.superop import _CROSS_PARITY, EVEN_INDICES, ODD_INDICES
 
-from assembly_oracle import INTO_PAIR, PAIR_INDICES, assemble_by_einsum, gate_pair_block, pair_block
+from assembly_oracle import (INTO_PAIR, PAIR_INDICES, assemble_by_einsum, gate_pair_block,
+                             pair_block)
 from closed_form_vectors import COMPLETION_INDICES, completion_blocks
 from conftest import GAMMA_A, X_A, exact_ep_x, random_density, random_easy_plane_point
 
