@@ -177,16 +177,16 @@ class RegimeReport:
     reason: str
 
 
-def _tail_statistics(rescaled: np.ndarray):
-    tail = rescaled[len(rescaled) // 2:]
+def _tail_statistics(tail: np.ndarray, n0: int):
+    """Drift, slope, R^2 and mean modulus of the tail n = n0, n0 + 1, ..."""
     mean = float(np.abs(tail).mean())
     mean = max(mean, 1e-300)
     drift = float((tail.max() - tail.min()) / mean)
-    ns = np.arange(len(rescaled) // 2, len(rescaled), dtype=float)
+    ns = np.arange(n0, n0 + len(tail), dtype=float)
     coeffs, res, *_ = np.linalg.lstsq(np.vstack([ns, np.ones_like(ns)]).T, tail, rcond=None)
     ss_tot = float(((tail - tail.mean()) ** 2).sum())
     r2 = 1.0 - float(res[0]) / ss_tot if len(res) and ss_tot > 0 else 0.0
-    return drift, float(coeffs[0]), r2, mean, tail
+    return drift, float(coeffs[0]), r2, mean
 
 
 def _check_n_max(n_max: int):
@@ -207,10 +207,12 @@ def classify_regime(point: ParameterPoint, record: TrajectoryRecord,
     is a tail past the largest double, on which no statistics are computed.
     """
     _check_n_max(len(record.values) - 1)
-    if not np.isfinite(record.rescaled[len(record.rescaled) // 2:]).all():
+    n0 = len(record.rescaled) // 2
+    tail = record.rescaled[n0:]
+    if not np.isfinite(tail).all():
         return RegimeReport(regime=None, tail_drift=np.nan, slope=np.nan, r_squared=np.nan,
                             reason="rescaled tail is not finite")
-    drift, slope, r2, mean, tail = _tail_statistics(record.rescaled)
+    drift, slope, r2, mean = _tail_statistics(tail, n0)
 
     if drift < tols.tail_drift:
         data_regime = EPRegime.BELOW_EP
